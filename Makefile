@@ -42,11 +42,10 @@ test:
 # Schedule sanitizer: for every default method x infrastructure cell,
 # perturb same-instant NORMAL-priority tie-breaking under a dedicated
 # seeded stream and assert metrics/counters/traces stay bit-identical
-# to the FIFO baseline -- under both kernels.  A failure means results
-# depend on incidental event-queue order (see docs/static-analysis.md).
+# to the FIFO baseline.  A failure means results depend on incidental
+# event-queue order (see docs/static-analysis.md).
 sanitize-smoke:
 	PYTHONPATH=src python -m repro sanitize
-	REPRO_LEGACY_KERNEL=1 PYTHONPATH=src python -m repro sanitize
 
 # The scenario registry must enumerate and the paper-baseline scenario
 # must run end to end (CI runs the same two commands as a gate).
@@ -56,9 +55,8 @@ scenario-smoke:
 
 # Benchmark trajectory: each run appends a timestamped entry to the
 # BENCH_engine.json / BENCH_section4.json histories at the repo root;
-# check_bench gates the latest entry against the trailing median (and
-# gross >3x transport regressions).  See docs/performance.md and
-# docs/observability.md.
+# check_bench gates the latest entry against the trailing median (>3x
+# slower fails).  See docs/performance.md and docs/observability.md.
 bench: bench-engine bench-section4 bench-user-plane
 	python benchmarks/check_bench.py BENCH_engine.json BENCH_section4.json \
 		BENCH_user_plane.json

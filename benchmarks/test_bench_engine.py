@@ -122,10 +122,18 @@ def test_trace_analysis_throughput(benchmark):
     assert np.isfinite(lengths).all()
 
 
-def _transport_storm(legacy, n_servers=40, rounds=60):
+#: Kernel events of the transport storm and of the CI-scale deployment,
+#: measured when the fast paths became the only paths.  Event counts are
+#: deterministic, so these are exact ceilings: tighten them when a change
+#: saves events, never loosen them.
+MAX_STORM_EVENTS = 7262
+MAX_CI_DEPLOYMENT_EVENTS = 69941
+
+
+def _transport_storm(n_servers=40, rounds=60):
     """Peer-exchange storm: every round each server messages its ring
     neighbour.  Distinct senders keep the output ports uncontended, the
-    regime the fast path's synchronous port claim targets (a provider
+    regime the transport's synchronous port claim targets (a provider
     fan-out instead serialises on one port and measures the Resource
     queue, not the transport)."""
     from repro.network import Message, MessageKind, NetworkFabric, TopologyBuilder
@@ -136,7 +144,7 @@ def _transport_storm(legacy, n_servers=40, rounds=60):
     topology = TopologyBuilder(env, streams).build(
         n_servers=n_servers, users_per_server=0
     )
-    fabric = NetworkFabric(env, streams=streams, legacy_transport=legacy)
+    fabric = NetworkFabric(env, streams=streams)
     servers = topology.servers
 
     def driver(env):
@@ -157,105 +165,39 @@ def _transport_storm(legacy, n_servers=40, rounds=60):
     return env.events_processed
 
 
-def test_transport_fast_vs_legacy(benchmark):
-    """The callback fast path must beat the generator path by >= 2x.
-
-    The threshold is overridable (``REPRO_BENCH_MIN_SPEEDUP``) so noisy
-    CI runners can gate only on gross regressions; the recorded
-    ``extra_info`` in BENCH_engine.json keeps the honest numbers.
-    """
-    import os
-    import time
-
+def test_transport_storm(benchmark):
+    """Transport throughput on uncontended ports, with an exact
+    kernel-event ceiling."""
     n_messages = 40 * 60
-    events = benchmark(_transport_storm, legacy=False)
-
-    legacy_times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        legacy_events = _transport_storm(legacy=True)
-        legacy_times.append(time.perf_counter() - start)
-    legacy_s = min(legacy_times)
-
+    events = benchmark(_transport_storm)
     fast_s = benchmark.stats.stats.min
-    speedup = legacy_s / fast_s
     benchmark.extra_info["messages"] = n_messages
-    benchmark.extra_info["fast_events"] = events
-    benchmark.extra_info["legacy_events"] = legacy_events
-    benchmark.extra_info["fast_msgs_per_s"] = n_messages / fast_s
-    benchmark.extra_info["legacy_msgs_per_s"] = n_messages / legacy_s
-    benchmark.extra_info["fast_events_per_s"] = events / fast_s
-    benchmark.extra_info["legacy_events_per_s"] = legacy_events / legacy_s
-    benchmark.extra_info["transport_speedup"] = speedup
-
-    assert events < legacy_events
-    min_speedup = float(os.environ.get("REPRO_BENCH_MIN_SPEEDUP", "2.0"))
-    assert speedup >= min_speedup, (
-        "fast transport only %.2fx the legacy path (need >= %.2fx)"
-        % (speedup, min_speedup)
+    benchmark.extra_info["events"] = events
+    benchmark.extra_info["msgs_per_s"] = n_messages / fast_s
+    benchmark.extra_info["events_per_s"] = events / fast_s
+    assert events <= MAX_STORM_EVENTS, (
+        "transport storm took %d kernel events (ceiling %d)"
+        % (events, MAX_STORM_EVENTS)
     )
 
 
-def _kernel_deployment(legacy):
-    """One full TTL/unicast deployment run at CI scale under the chosen
-    kernel.  The kernel flag is read at ``Environment`` construction, so
-    it is pinned around ``build_deployment`` only."""
-    import os
-
-    import repro.network.message as message_mod
+def _ci_deployment():
+    """One full TTL/unicast deployment run at CI scale."""
     from repro.experiments.config import ci_scale
     from repro.experiments.testbed import build_deployment
 
-    message_mod._SEQ = 0
-    prior = os.environ.get("REPRO_LEGACY_KERNEL")
-    os.environ["REPRO_LEGACY_KERNEL"] = "1" if legacy else "0"
-    try:
-        deployment = build_deployment(ci_scale(users_per_server=2), "ttl")
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_LEGACY_KERNEL", None)
-        else:
-            os.environ["REPRO_LEGACY_KERNEL"] = prior
-    assert deployment.env.legacy_kernel is legacy
-    metrics = deployment.run().to_dict()
-    events = metrics.pop("events_processed")
-    return metrics, events
+    deployment = build_deployment(ci_scale(users_per_server=2), "ttl")
+    return deployment.run().events_processed
 
 
-def test_kernel_fast_vs_legacy(benchmark):
-    """The fast kernel (timer wheel + sync dispatch + inline transport)
-    must beat the legacy kernel on a whole deployment run.
-
-    Also re-checks bit-identity of the resulting metrics here in the
-    benchmark regime (CI scale), complementing the differential suite in
-    ``tests/test_kernel_equivalence.py``.  The recorded ``extra_info``
-    key is ``kernel_speedup`` (``transport_speedup`` is reserved for the
-    transport storm's floor gate).
-    """
-    import os
-    import time
-
-    fast_metrics, fast_events = benchmark(_kernel_deployment, legacy=False)
-
-    legacy_times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        legacy_metrics, legacy_events = _kernel_deployment(legacy=True)
-        legacy_times.append(time.perf_counter() - start)
-    legacy_s = min(legacy_times)
-
+def test_kernel_deployment(benchmark):
+    """A whole CI-scale deployment run, with an exact kernel-event
+    ceiling."""
+    events = benchmark(_ci_deployment)
     fast_s = benchmark.stats.stats.min
-    speedup = legacy_s / fast_s
-    benchmark.extra_info["fast_events"] = fast_events
-    benchmark.extra_info["legacy_events"] = legacy_events
-    benchmark.extra_info["fast_events_per_s"] = fast_events / fast_s
-    benchmark.extra_info["legacy_events_per_s"] = legacy_events / legacy_s
-    benchmark.extra_info["kernel_speedup"] = speedup
-
-    assert fast_metrics == legacy_metrics
-    assert fast_events < legacy_events
-    min_speedup = float(os.environ.get("REPRO_BENCH_MIN_KERNEL_SPEEDUP", "1.5"))
-    assert speedup >= min_speedup, (
-        "fast kernel only %.2fx the legacy kernel (need >= %.2fx)"
-        % (speedup, min_speedup)
+    benchmark.extra_info["events"] = events
+    benchmark.extra_info["events_per_s"] = events / fast_s
+    assert events <= MAX_CI_DEPLOYMENT_EVENTS, (
+        "CI-scale deployment took %d kernel events (ceiling %d)"
+        % (events, MAX_CI_DEPLOYMENT_EVENTS)
     )

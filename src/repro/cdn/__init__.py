@@ -3,7 +3,6 @@
 from .base import Actor, RESPONSE_KINDS, UpdateSourceMixin
 from .cache import CacheEntry, TTLCache
 from .client import (
-    DnsSelector,
     EndUserActor,
     FixedSelector,
     Observation,
@@ -29,7 +28,6 @@ __all__ = [
     "EndUserActor",
     "Observation",
     "FixedSelector",
-    "DnsSelector",
     "SwitchEveryVisitSelector",
     "DnsDirectory",
 ]

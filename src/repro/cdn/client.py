@@ -1,15 +1,20 @@
 """End users.
 
 An :class:`EndUserActor` periodically requests the live content from a
-server chosen by a pluggable *selector* (fixed server, DNS-directed, or
+server chosen by a pluggable *selector* (fixed server, or
 switch-every-visit as in Fig. 24) and records every observation.  The
 observation log is the raw material for all user-perspective metrics.
+
+Deployments carry their users in one
+:class:`~repro.cdn.cohort.UserCohort`; the actor is for hand-wired
+models and unit tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..network.link import NetworkFabric
 from ..network.message import Message, MessageKind
@@ -18,20 +23,17 @@ from ..sim.engine import Environment
 from ..sim.rng import RandomStream
 from .base import Actor
 from .content import LiveContent
-from .dns import DnsDirectory
 
 __all__ = [
     "Observation",
     "EndUserActor",
     "FixedSelector",
-    "DnsSelector",
     "SwitchEveryVisitSelector",
     "REQUEST_TIMEOUT_S",
 ]
 
 #: Default content-request timeout, shared with the vectorized cohort
-#: plane (:mod:`repro.cdn.cohort`) so both user implementations time out
-#: at exactly the same instants.
+#: plane (:mod:`repro.cdn.cohort`).
 REQUEST_TIMEOUT_S = 30.0
 
 
@@ -52,16 +54,6 @@ class FixedSelector:
 
     def select(self, user: NetworkNode, now: float, visit_index: int) -> NetworkNode:
         return self.server
-
-
-class DnsSelector:
-    """Resolve the serving server through the DNS directory each visit."""
-
-    def __init__(self, dns: DnsDirectory) -> None:
-        self.dns = dns
-
-    def select(self, user: NetworkNode, now: float, visit_index: int) -> NetworkNode:
-        return self.dns.resolve(user, now)
 
 
 class SwitchEveryVisitSelector:
@@ -100,10 +92,10 @@ class EndUserActor(Actor):
         selector,
         user_ttl_s: float = 10.0,
         start_offset_s: float = 0.0,
-        request_timeout_s: Optional[float] = REQUEST_TIMEOUT_S,
+        request_timeout_s: float = REQUEST_TIMEOUT_S,
     ) -> None:
-        if user_ttl_s <= 0:
-            raise ValueError("user_ttl_s must be positive")
+        if not (math.isfinite(user_ttl_s) and user_ttl_s > 0):
+            raise ValueError("user_ttl_s must be finite and positive")
         super().__init__(env, node, fabric)
         self.content = content
         self.selector = selector
@@ -111,11 +103,6 @@ class EndUserActor(Actor):
         self.start_offset_s = start_offset_s
         self.request_timeout_s = request_timeout_s
         self.observations: List[Observation] = []
-        #: Incremental-metrics hook: called with each new
-        #: :class:`Observation` right after it is recorded (the testbed
-        #: wires a :class:`~repro.metrics.incremental.UserObservationTracker`
-        #: here under the fast kernel).
-        self.on_observation: Optional[Callable[[Observation], None]] = None
         #: Visits that timed out (server down / unreachable).
         self.failed_visits = 0
         self._started = False
@@ -131,7 +118,6 @@ class EndUserActor(Actor):
             yield self.env.pooled_timeout(self.start_offset_s)
         env = self.env
         node = self.node
-        fast = not env.legacy_kernel
         light_kb = self.content.light_size_kb
         timeout_s = self.request_timeout_s
         select = self.selector.select
@@ -139,35 +125,29 @@ class EndUserActor(Actor):
         visit_index = 0
         while True:
             target = select(node, env._now, visit_index)
-            if fast:
-                # ``Actor.request`` fast path inlined: a visit resumes
-                # this frame directly instead of delegating through a
-                # fresh generator (one per visit is measurable at CDN
-                # scale).  Same allocations in the same order.
-                message = Message(
-                    kind=content_request,
-                    src=node,
-                    dst=target,
-                    size_kb=light_kb,
-                    payload={},
-                )
-                waiter = env.event()
-                self._pending[message.seq] = waiter
-                self.fabric.send(message)
-                env.timers.arm(timeout_s, waiter)
-                response = yield waiter
-                if response is None:
-                    self._pending.pop(message.seq, None)
-                    tracer = env.tracer
-                    if tracer.enabled:
-                        tracer.emit(
-                            env.now, "msg_timeout", node.node_id,
-                            **message.trace_detail()
-                        )
-            else:
-                response = yield from self.request(
-                    content_request, target, light_kb, timeout=timeout_s
-                )
+            # ``Actor.request`` inlined: a visit resumes this frame
+            # directly instead of delegating through a fresh generator
+            # (one per visit is measurable at CDN scale).
+            message = Message(
+                kind=content_request,
+                src=node,
+                dst=target,
+                size_kb=light_kb,
+                payload={},
+            )
+            waiter = env.event()
+            self._pending[message.seq] = waiter
+            self.fabric.send(message)
+            env.timers.arm(timeout_s, waiter)
+            response = yield waiter
+            if response is None:
+                self._pending.pop(message.seq, None)
+                tracer = env.tracer
+                if tracer.enabled:
+                    tracer.emit(
+                        env.now, "msg_timeout", node.node_id,
+                        **message.trace_detail()
+                    )
             tracer = self.env.tracer
             if response is None:
                 self.failed_visits += 1
@@ -183,8 +163,6 @@ class EndUserActor(Actor):
                     server_id=target.node_id,
                 )
                 self.observations.append(observation)
-                if self.on_observation is not None:
-                    self.on_observation(observation)
                 if tracer.enabled:
                     tracer.emit(
                         self.env.now, "visit", self.node.node_id,

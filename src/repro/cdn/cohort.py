@@ -1,25 +1,19 @@
-"""Struct-of-arrays end-user plane (the fast kernel's cohort path).
+"""Struct-of-arrays end-user plane.
 
-Every end user in the legacy plane is an :class:`~repro.cdn.client.EndUserActor`:
-a Python object holding a generator-based visit loop, a pending-request
-dict, an observation list and a waiter :class:`~repro.sim.engine.Event`
-per in-flight request.  At the paper's scale (850 users) that is
-invisible; at the ROADMAP's planet scale (1M+ users) the actor plane
-dominates both memory and GC time -- hundreds of thousands of live
-generator frames and per-visit allocations that the cyclic collector
-re-traverses over and over.
-
-:class:`UserCohort` replaces all of it with one object per deployment:
+Every deployment carries its end users in one :class:`UserCohort`
+instead of one :class:`~repro.cdn.client.EndUserActor` per user: at the
+ROADMAP's planet scale (1M+ users) per-user generator frames, pending
+dicts and waiter events would dominate both memory and GC time.
 
 - per-slot state (poll TTL, failed-visit count, home/last server,
-  running staleness accumulators) lives in parallel unboxed arrays --
-  numpy when importable, :mod:`array` otherwise (see
-  :data:`ARRAY_BACKEND`); every metric-facing computation is written as
-  the same scalar loop either way, so the backends are bit-identical;
+  running staleness accumulators) lives in parallel unboxed numpy
+  arrays; every metric-facing computation runs in scalar Python space,
+  so reads are coerced with ``float()``/``int()`` before they can reach
+  the event heap or a metrics dict;
 - visit deadlines live in one binary heap swept by a single reusable
   control event (scheduled with
-  :meth:`~repro.sim.engine.Environment.schedule_at` for the exact float
-  deadline the legacy per-user pooled timeout would have used);
+  :meth:`~repro.sim.engine.Environment.schedule_at` at the exact float
+  deadline);
 - request timeouts share one monotone
   :class:`~repro.sim.timers.CallbackLane` (all requests use the same
   ``REQUEST_TIMEOUT_S`` delay, so deadlines arrive pre-sorted) with
@@ -29,38 +23,28 @@ re-traverses over and over.
   :class:`~repro.metrics.incremental.AggregateUserMetrics` scalar
   accumulators in ``aggregate`` mode (no observation retention at all).
 
-Determinism contract (the differential suite in
-``tests/test_user_plane_equivalence.py`` pins all of it):
+Determinism contract (``tests/test_golden_digests.py`` pins it on the
+method x infrastructure x seed grid, both selectors, aggregate metrics
+and the population edges):
 
-- Per-visit *network* behaviour is unchanged: the same
-  :class:`~repro.network.message.Message` objects (same global sequence
-  numbers) travel the same fabric with the same jitter draws, so
-  counters, traces and cause attribution are bit-identical to the actor
-  plane.
-- Selector RNG draws (the switch-every-visit stream) happen at the same
-  simulated instants in the same global order.
-- Visit instants are exactly the floats the actor plane computes:
-  ``response_time + ttl`` / ``timeout_time + ttl``, with the TTL read at
-  push time (so mid-run TTL perturbations apply from the next visit,
-  like the legacy ``pooled_timeout(self.user_ttl_s)`` read).
-- Same-instant visit expiries run in arming order, matching the event-id
-  order of the legacy per-user timeouts.  (With the default start-window
-  jitter, distinct users collide with probability zero; the known edge
-  is ``user_start_window_s=0``, where first visits run at t=0 after --
-  not interleaved with -- actor process inits.  The testbed never builds
-  that combination differentially.)
-
-The legacy plane stays fully supported: ``REPRO_LEGACY_USERS=1`` (or the
-legacy kernel) builds actors instead, which is how the differential
-suite drives both arms.
+- Each visit sends one :class:`~repro.network.message.Message` through
+  the shared fabric, so counters, traces and cause attribution see
+  ordinary traffic.
+- Selector RNG draws (the switch-every-visit stream) happen at the
+  visit instant, in global visit order.
+- A visit's next deadline is ``response_time + ttl`` or
+  ``timeout_time + ttl``, with the TTL read when the deadline is pushed
+  (so mid-run TTL perturbations apply from the next visit).
+- Same-instant visit expiries run in arming order.
 """
 
 from __future__ import annotations
 
-import os
-from array import array as _stdarray
+import math
 from heapq import heapify, heappop, heappush
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..metrics.incremental import AggregateUserMetrics, UserObservationTracker
 from ..network.message import Message, MessageKind
@@ -80,84 +64,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..sim.rng import RandomStream
     from .content import LiveContent
 
-__all__ = [
-    "UserCohort",
-    "ARRAY_BACKEND",
-    "LEGACY_USERS_ENV",
-    "COHORT_BACKEND_ENV",
-    "legacy_users_enabled",
-]
-
-#: Environment variable selecting the legacy per-user actor plane on the
-#: fast kernel (the PR 3 / PR 7 switch pattern).  Read at build time by
-#: :func:`legacy_users_enabled`; the legacy *kernel* implies it.
-LEGACY_USERS_ENV = "REPRO_LEGACY_USERS"
-
-#: Environment variable forcing the pure-Python array backend even when
-#: numpy is importable (``REPRO_COHORT_BACKEND=array``).  Read once at
-#: import time.
-COHORT_BACKEND_ENV = "REPRO_COHORT_BACKEND"
-
-
-def legacy_users_enabled() -> bool:
-    """``True`` when the environment opts into the per-user actor plane."""
-    return os.environ.get(LEGACY_USERS_ENV, "") not in ("", "0")
-
-
-# ----------------------------------------------------------------------
-# array backends
-# ----------------------------------------------------------------------
-try:  # pragma: no cover - import guard
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None  # type: ignore[assignment]
-
-
-class _NumpyBackend:
-    """Unboxed per-slot storage on numpy arrays.
-
-    Scalar reads off these arrays return numpy scalars, so every caller
-    coerces with ``float()``/``int()`` before the value can reach the
-    event heap or a metrics dict -- ``Environment.now`` stays a builtin
-    float and registry JSON stays serialisable.
-    """
-
-    name = "numpy"
-
-    @staticmethod
-    def full_f(n: int, value: float) -> Any:
-        return _np.full(n, value, dtype=_np.float64)
-
-    @staticmethod
-    def zeros_i(n: int) -> Any:
-        return _np.zeros(n, dtype=_np.int64)
-
-
-class _PurePythonBackend:
-    """Same layout on :mod:`array` arrays (the numpy-free fallback)."""
-
-    name = "array"
-
-    @staticmethod
-    def full_f(n: int, value: float) -> Any:
-        return _stdarray("d", [value]) * n
-
-    @staticmethod
-    def zeros_i(n: int) -> Any:
-        return _stdarray("q", [0]) * n
-
-
-def _select_backend() -> Any:
-    if _np is None or os.environ.get(COHORT_BACKEND_ENV, "") in ("array", "python"):
-        return _PurePythonBackend
-    return _NumpyBackend
-
-
-#: The backend selected at import time.  Tests may swap this module
-#: global (or set ``REPRO_COHORT_BACKEND=array`` before import) to force
-#: the fallback; results are bit-identical either way because all
-#: arithmetic runs in scalar Python space.
-ARRAY_BACKEND = _select_backend()
+__all__ = ["UserCohort"]
 
 _INF = float("inf")
 _CONTENT_REQUEST = MessageKind.CONTENT_REQUEST
@@ -166,11 +73,10 @@ _CONTENT_REQUEST = MessageKind.CONTENT_REQUEST
 class UserCohort:
     """All end users of one deployment, stored column-wise.
 
-    Construction mirrors ``testbed._make_users``: *nodes* in home-server
-    -major slot order, *start_offsets* drawn per slot from the same
-    stream the actor plane uses.  Exactly one of *targets* (fixed
-    selector: the home server node per slot) or *switch_servers* +
-    *switch_stream* (the Fig. 24 switch-every-visit selector) must be
+    *nodes* come in home-server-major slot order with one start offset
+    per slot (see ``testbed._make_users``).  Exactly one of *targets*
+    (fixed selector: the home server node per slot) or *switch_servers*
+    + *switch_stream* (the Fig. 24 switch-every-visit selector) must be
     given.
     """
 
@@ -179,7 +85,6 @@ class UserCohort:
         "fabric",
         "content",
         "nodes",
-        "backend",
         "user_metrics",
         "aggregate",
         "trackers",
@@ -222,8 +127,8 @@ class UserCohort:
         user_metrics: str = "per-user",
         request_timeout_s: float = REQUEST_TIMEOUT_S,
     ) -> None:
-        if user_ttl_s <= 0:
-            raise ValueError("user_ttl_s must be positive")
+        if not (math.isfinite(user_ttl_s) and user_ttl_s > 0):
+            raise ValueError("user_ttl_s must be finite and positive")
         if user_metrics not in ("per-user", "aggregate"):
             raise ValueError("user_metrics must be 'per-user' or 'aggregate'")
         n = len(nodes)
@@ -242,11 +147,9 @@ class UserCohort:
         self.fabric = fabric
         self.content = content
         self.nodes = list(nodes)
-        backend = ARRAY_BACKEND
-        self.backend = backend
         self.user_metrics = user_metrics
-        self._ttl = backend.full_f(n, user_ttl_s)
-        self._failed = backend.zeros_i(n)
+        self._ttl = np.full(n, user_ttl_s, dtype=np.float64)
+        self._failed = np.zeros(n, dtype=np.int64)
         self._start_offsets = [float(offset) for offset in start_offsets]
         self._fixed = targets is not None
         self._targets: List["NetworkNode"] = list(targets) if targets is not None else []
@@ -415,7 +318,7 @@ class UserCohort:
 
     def _consume(self, message: Message) -> None:
         """Fabric delivery hook shared by every user node of the cohort
-        (mirrors ``Actor._consume`` + the visit loop's response half)."""
+        (``Actor._consume`` plus the response half of a visit)."""
         if not message.dst.is_up:
             return
         if message.kind not in RESPONSE_KINDS:
@@ -427,7 +330,7 @@ class UserCohort:
         entry = self._pending.pop(req_seq, None) if req_seq is not None else None
         if entry is None:
             # No matching request (timed out / restarted): dropped,
-            # matching the actor plane's UDP-style semantics.
+            # UDP-style.
             return
         slot, _request, target = entry
         env = self.env
@@ -450,7 +353,7 @@ class UserCohort:
         self._push_visit(now + float(self._ttl[slot]), slot)
 
     # ------------------------------------------------------------------
-    # actor-shaped access (tests, perturbations, legacy collect)
+    # actor-shaped access (tests, perturbations)
     # ------------------------------------------------------------------
     @property
     def users(self) -> List["_CohortUserView"]:
@@ -521,9 +424,9 @@ class _CohortSwitchSelector(SwitchEveryVisitSelector):
     """Shared view of a switch-mode cohort's selector state.
 
     ``servers`` aliases the cohort's own list, so mutating it through
-    the view changes every slot's candidate set, like the shared-list
-    aliasing of the actor plane.  Per-slot ``_last`` state stays in the
-    cohort arrays; this view's own ``_last`` is unused.
+    the view changes every slot's candidate set.  Per-slot ``_last``
+    state stays in the cohort arrays; this view's own ``_last`` is
+    unused.
     """
 
     def __init__(self, cohort: UserCohort) -> None:
@@ -561,10 +464,9 @@ class _CohortUserView:
 
     @user_ttl_s.setter
     def user_ttl_s(self, value: float) -> None:
-        if value <= 0:
-            raise ValueError("user_ttl_s must be positive")
-        # Applies from the slot's next deadline push, exactly like the
-        # actor plane's per-visit ``pooled_timeout(self.user_ttl_s)`` read.
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError("user_ttl_s must be finite and positive")
+        # Applies from the slot's next deadline push.
         self._cohort._ttl[self._slot] = value
 
     @property

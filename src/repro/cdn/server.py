@@ -28,7 +28,7 @@ def _task_driver(
     """Drive *generator* (whose first yielded event is *first*) as a
     process, proxying both resume values and thrown exceptions.
 
-    Used by the fast kernel's :meth:`ServerActor._start_task`: the task
+    Used by :meth:`ServerActor._start_task`: the task
     body already ran up to its first ``yield``, so a plain ``yield from``
     would re-run it.  Exceptions are forwarded with ``throw`` so
     ``try``/``finally`` blocks inside the task (e.g. the invalidation
@@ -163,16 +163,11 @@ class ServerActor(Actor, UpdateSourceMixin):
     def _start_task(self, generator: Generator[Event, Any, Any]) -> None:
         """Run a message-triggered task (poll/fetch answer, serve).
 
-        Legacy kernel: a full :class:`~repro.sim.process.Process` per
-        task.  Fast kernel: run the body synchronously up to its first
-        ``yield`` -- the common eager-TTL / push / fresh-invalidation
-        case completes without yielding at all, costing **zero** kernel
-        events instead of a process + ``_Initialize`` pop -- and only
-        tasks that actually wait get a driver process.
+        The body runs synchronously up to its first ``yield`` -- the
+        common eager-TTL / push / fresh-invalidation case completes
+        without yielding at all, costing **zero** kernel events -- and
+        only tasks that actually wait get a driver process.
         """
-        if self.env.legacy_kernel:
-            self.env.process(generator)
-            return
         try:
             first = next(generator)
         except StopIteration:

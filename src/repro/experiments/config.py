@@ -14,6 +14,7 @@ runs; ``smoke_scale()`` is minimal.
 from __future__ import annotations
 
 import difflib
+import math
 import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Optional
@@ -71,7 +72,7 @@ class TestbedConfig:
 
     # --- planet-scale user plane (see docs/scalability.md) -----------------
     #: "per-user": per-user observation logs, trackers and metrics-dict
-    #: entries (the legacy layout).  "aggregate": O(1)-per-user scalar
+    #: entries.  "aggregate": O(1)-per-user scalar
     #: accumulators, metrics grouped by home server at collection --
     #: required for sharded merges; per-visit observations are not
     #: retained.
@@ -88,6 +89,12 @@ class TestbedConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # NaN slips through every ordered check below (``nan <= 0`` is
+        # False) and infinities never expire, so reject both up front.
+        for knob in fields(self):
+            value = getattr(self, knob.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError("%s must be finite, got %r" % (knob.name, value))
         if self.n_servers <= 0:
             raise ValueError("n_servers must be positive")
         if self.users_per_server < 0:

@@ -1,8 +1,8 @@
 """``repro.lint`` -- determinism & purity static analysis for this repo.
 
 The reproduction's headline claims (TTL inference, the Fig. 14-20 method
-comparisons, fast/legacy transport equivalence) rest on invariants the
-test suite can only spot-check at runtime:
+comparisons, golden-digest replay) rest on invariants the test suite
+can only spot-check at runtime:
 
 - every random draw comes from a seeded, named stream;
 - no simulation code reads wall-clock time;

@@ -35,7 +35,7 @@ SLOTS_MANIFEST: Dict[str, Dict[str, str]] = {
         "Environment": "attribute reads in the inner event loop",
     },
     "repro/sim/process.py": {
-        "Process": "allocated per actor / legacy transfer",
+        "Process": "allocated per actor loop and per waiting server task",
         "Condition": "allocated per all_of/any_of wait",
         "AllOf": "condition subclass",
         "AnyOf": "condition subclass",
@@ -44,8 +44,8 @@ SLOTS_MANIFEST: Dict[str, Dict[str, str]] = {
     },
     "repro/sim/resources.py": {
         "Request": "allocated per contended port claim",
-        "Release": "allocated per legacy release",
-        "StorePut": "allocated per inbox delivery",
+        "Release": "allocated per resource release outside the transport",
+        "StorePut": "allocated per delivery to a consumer-less node",
         "StoreGet": "allocated per inbox read",
         "PriorityItem": "allocated per prioritised item",
     },

@@ -53,7 +53,7 @@ class NetworkNode:
         #: Output port: transmissions leaving this node serialise here.
         self.output_port = Resource(env, capacity=1)
         self._inbox: Optional[Store] = None
-        #: Fast-kernel direct dispatch: when an actor registers a
+        #: Direct dispatch: when an actor registers a
         #: consumer, :meth:`deliver` calls it synchronously at delivery
         #: time instead of round-tripping through the inbox store (which
         #: costs a ``StorePut`` + ``StoreGet`` heap pop per message).
@@ -75,7 +75,7 @@ class NetworkNode:
     def inbox(self) -> Store:
         """Inbox: the fabric delivers received messages into this store.
 
-        Built lazily -- fast-kernel nodes with a registered consumer
+        Built lazily -- nodes with a registered consumer
         never touch it, which matters when the cohort plane attaches a
         million user nodes (``Store`` construction has no side effects
         on the environment, so laziness is unobservable)."""
@@ -138,8 +138,8 @@ class NetworkNode:
 
     def deliver(self, message: Any) -> None:
         """Hand a delivered *message* to the registered consumer, or the
-        inbox store when no consumer is attached (legacy kernel, bare
-        nodes in transport tests)."""
+        inbox store when no consumer is attached (bare nodes in
+        transport tests)."""
         consumer = self.consumer
         if consumer is not None:
             consumer(message)

@@ -16,7 +16,6 @@ produce identical event orderings.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -42,15 +41,7 @@ __all__ = [
     "StopSimulation",
     "URGENT",
     "NORMAL",
-    "LEGACY_KERNEL_ENV",
 ]
-
-#: Environment variable selecting the legacy per-event kernel paths
-#: (per-process timeout churn, inbox-store dispatch, per-collection
-#: staleness scans).  Read once at :class:`Environment` construction --
-#: never at import time -- so tests can flip it with
-#: ``monkeypatch.setenv`` (same contract as ``REPRO_LEGACY_TRANSPORT``).
-LEGACY_KERNEL_ENV = "REPRO_LEGACY_KERNEL"
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -238,7 +229,6 @@ class Environment:
         "_active_proc",
         "_timeout_pool",
         "tracer",
-        "legacy_kernel",
         "timers",
         "sanitizer",
         "progress",
@@ -252,7 +242,6 @@ class Environment:
         self,
         initial_time: float = 0.0,
         tracer: Optional[Any] = None,
-        legacy_kernel: Optional[bool] = None,
         sanitizer: Optional[Any] = None,
     ) -> None:
         from ..obs.tracer import NULL_TRACER
@@ -267,14 +256,8 @@ class Environment:
         self._timeout_pool: List[_PooledTimeout] = []
         #: Observability hook; NULL_TRACER (a shared no-op) by default.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        if legacy_kernel is None:
-            legacy_kernel = os.environ.get(LEGACY_KERNEL_ENV, "") not in ("", "0")
-        #: ``True`` selects the legacy per-event hot paths throughout the
-        #: stack (see :data:`LEGACY_KERNEL_ENV`); fixed at construction.
-        self.legacy_kernel = bool(legacy_kernel)
         #: Schedule sanitizer (see :mod:`repro.sim.sanitize`); ``None``
-        #: outside sanitize runs, fixed at construction like the kernel
-        #: switch.  Every push site -- including the inlined ones in
+        #: outside sanitize runs, fixed at construction.  Every push site -- including the inlined ones in
         #: ``run`` and the fast transport -- must honor it.
         self.sanitizer = (
             sanitizer if sanitizer is not None else sanitizer_from_env()
@@ -285,7 +268,7 @@ class Environment:
         #: :data:`PROGRESS_STRIDE` processed events.  Hooks are purely
         #: observational: they must never schedule events or draw RNG.
         self.progress: Optional[Callable[[float, int], None]] = None
-        #: Vectorized expiry sweeps for hot-path timers (fast kernel).
+        #: Vectorized expiry sweeps for hot-path timers.
         self.timers: "TimerWheel" = TimerWheel(self)
 
     # ------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Batched timer wheel: one control event per sweep of expiring timers.
 
-The legacy kernel allocates one :class:`~repro.sim.engine.Timeout` plus
-one condition per timed wait, and every expiry is its own heap pop.  At
-CDN scale the poll/request timers dominate the event queue, so the wheel
-batches them: waiters that share a *delay* (all ``30 s`` request
+One :class:`~repro.sim.engine.Timeout` plus one condition per timed
+wait would make every expiry its own heap pop, and at CDN scale the
+poll/request timers dominate the event queue, so the wheel batches
+them: waiters that share a *delay* (all ``30 s`` request
 timeouts, all ``ttl_s`` poll timers, ...) land in one *lane* -- a pair
 of parallel arrays (deadline floats aligned with waiter events).
 Because every entry in a lane is armed with the same delay, deadlines
@@ -15,20 +15,20 @@ the same sorted-array algorithm.
 
 Each lane owns exactly one reusable control :class:`Event` on the heap.
 It is scheduled (via :meth:`Environment.schedule_at`, to hit the exact
-float deadline a legacy ``Timeout`` would have used) for the earliest
-pending deadline; when it pops, the sweep succeeds every expired waiter
+float deadline) for the earliest pending deadline; when it pops, the sweep succeeds every expired waiter
 and re-arms the control event for the next deadline.  N timers cost one
 control pop per *batch* of identical deadlines instead of one pop per
 timer, and cancelled waiters (``callbacks is None`` or already
 triggered) are skipped lazily without ever touching the heap.
 
-Determinism: a waiter armed at time ``t`` with delay ``d`` is succeeded
-at exactly ``t + d`` (the same float the legacy ``Timeout`` computes),
-and waiters expiring at the same instant are succeeded in arming order,
-which matches the sequence-number order the legacy per-timer events
-would have popped in.  Waiter callbacks run through the heap
-(:meth:`Event.succeed` schedules), so user code can never push into a
-lane in the middle of its own sweep.
+Invariant: a waiter armed at time ``t`` with delay ``d`` is succeeded
+at exactly ``t + d`` (the float ``env.timeout(d)`` would fire at), and
+waiters expiring at the same instant are succeeded in arming order.
+Waiter callbacks run through the heap (:meth:`Event.succeed`
+schedules), so user code can never push into a lane in the middle of
+its own sweep.  ``tests/test_sim_engine.py`` holds the unit contract;
+``tests/test_golden_digests.py`` pins the request and poll timeouts of
+whole deployments.
 """
 
 from __future__ import annotations

@@ -195,16 +195,16 @@ class TestSeriesExtraction:
             "legacy_events_per_s": [1.0],
             "transport_speedup": [2.0],
             "kernel_speedup": [3.0],  # shares 'speedup' but no legacy_
-            "cohort_users_per_s": [1.0],
-            "actor_users_per_s": [1.0],
-            "legacy_users_per_s": [1.0],
+            "cohort_visits_per_s": [1.0],
+            "actor_visits_per_s": [1.0],
+            "legacy_visits_per_s": [1.0],
         }
         pairs = discover_comparisons(series)
         assert ("events_per_s", "fast_events_per_s",
                 "legacy_events_per_s") in pairs
         # 3-way group: all pairs, legacy always second.
-        users = [p for p in pairs if p[0] == "users_per_s"]
-        assert len(users) == 3
+        visits = [p for p in pairs if p[0] == "visits_per_s"]
+        assert len(visits) == 3
         for _, key_a, key_b in pairs:
             assert not key_a.startswith("legacy_")
         assert all("speedup" not in p[0] for p in pairs)

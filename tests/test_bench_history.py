@@ -193,12 +193,6 @@ class TestCheckBench:
         path = _trajectory(tmp_path, 0.001, 0.010, 0.011, 0.012)
         assert check_bench.main([path]) == 0
 
-    def test_transport_speedup_floor(self, tmp_path, capsys):
-        path = str(tmp_path / "BENCH_test.json")
-        bench_history.append_snapshot(path, _snapshot(0.010, speedup=0.2))
-        assert check_bench.main([path]) == 1
-        assert "fast transport" in capsys.readouterr().err
-
     def test_baseline_comparison(self, tmp_path, capsys):
         baseline = _trajectory(tmp_path, 0.010)
         current = str(tmp_path / "BENCH_now.json")

@@ -129,6 +129,19 @@ class TestServerServing:
         assert user.failed_visits >= 2
         assert server.node.is_up  # recovered
 
+    @pytest.mark.parametrize("ttl", [0.0, -1.0, float("nan"), float("inf")])
+    def test_user_ttl_must_be_finite_and_positive(self, ttl):
+        env, streams, topology, fabric, content = make_world()
+        with pytest.raises(ValueError, match="finite and positive"):
+            EndUserActor(
+                env,
+                topology.users[0][0],
+                fabric,
+                content,
+                FixedSelector(topology.servers[0]),
+                user_ttl_s=ttl,
+            )
+
     def test_absence_validation(self):
         env, streams, topology, fabric, content = make_world()
         with pytest.raises(ValueError):

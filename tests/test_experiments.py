@@ -3,6 +3,7 @@
 
 import pytest
 
+import repro.experiments.testbed as testbed_mod
 from repro.experiments import (
     TestbedConfig,
     build_deployment,
@@ -15,6 +16,21 @@ from repro.experiments import (
 )
 from repro.experiments.section4 import fig16_traffic_cost
 from repro.experiments.section5 import section5_config
+from repro.experiments.sharding import shard_specs
+from repro.runner import RunSpec
+
+
+def _tiny_config(seed, **overrides):
+    defaults = dict(
+        n_servers=6,
+        users_per_server=1,
+        n_updates=6,
+        game_duration_s=200.0,
+        hat_clusters=3,
+        seed=seed,
+    )
+    defaults.update(overrides)
+    return TestbedConfig(**defaults)
 
 
 class TestConfig:
@@ -30,13 +46,34 @@ class TestConfig:
         assert config.hat_arity == 4
         assert config.tree_arity == 2
 
-    def test_validation(self):
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            dict(n_servers=0),
+            dict(user_selector="roulette"),
+            dict(server_ttl_s=0),
+            dict(server_ttl_s=float("nan")),
+            dict(server_ttl_s=float("inf")),
+            dict(server_ttl_s=float("-inf")),
+            dict(user_ttl_s=float("nan")),
+            dict(user_ttl_s=float("inf")),
+            dict(game_duration_s=float("nan")),
+            dict(update_start_s=float("inf")),
+            dict(update_size_kb=float("nan")),
+            dict(light_size_kb=float("inf")),
+            dict(user_start_window_s=float("nan")),
+            dict(horizon_s=float("nan")),
+            dict(horizon_s=float("inf")),
+        ],
+        ids=lambda knobs: "%s=%r" % next(iter(knobs.items())),
+    )
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_validation(self, knobs):
         with pytest.raises(ValueError):
-            TestbedConfig(n_servers=0)
+            TestbedConfig(**knobs)
+        # with_overrides re-validates (sweeps and the CLI build there).
         with pytest.raises(ValueError):
-            TestbedConfig(user_selector="roulette")
-        with pytest.raises(ValueError):
-            TestbedConfig(server_ttl_s=0)
+            smoke_scale().with_overrides(**knobs)
 
     def test_with_creates_modified_copy(self):
         config = ci_scale()
@@ -132,6 +169,57 @@ class TestTestbed:
         metrics = deployment.run()
         # with per-visit switching, at least some staleness is observed
         assert metrics.mean_stale_fraction >= 0.0
+
+
+class TestPlacementCache:
+    def test_cache_hit_is_bit_transparent(self):
+        testbed_mod._PLACEMENT_CACHE.clear()
+        miss = build_deployment(_tiny_config(0), "ttl", "unicast").run().to_dict()
+        assert len(testbed_mod._PLACEMENT_CACHE) == 1
+        hit = build_deployment(_tiny_config(0), "ttl", "unicast").run().to_dict()
+        assert len(testbed_mod._PLACEMENT_CACHE) == 1  # reused, not re-added
+        assert miss == hit
+
+    def test_distinct_topologies_get_distinct_entries(self):
+        testbed_mod._PLACEMENT_CACHE.clear()
+        build_deployment(_tiny_config(0), "ttl", "unicast")
+        build_deployment(_tiny_config(1), "ttl", "unicast")
+        build_deployment(_tiny_config(0, n_servers=4), "ttl", "unicast")
+        assert len(testbed_mod._PLACEMENT_CACHE) == 3
+        # Same topology, different method: shared entry.
+        build_deployment(_tiny_config(0), "push", "multicast")
+        assert len(testbed_mod._PLACEMENT_CACHE) == 3
+
+    def test_cache_evicts_fifo_at_cap(self, monkeypatch):
+        testbed_mod._PLACEMENT_CACHE.clear()
+        monkeypatch.setattr(testbed_mod, "_PLACEMENT_CACHE_MAX", 2)
+        for seed in (0, 1, 2):
+            build_deployment(_tiny_config(seed), "ttl", "unicast")
+        assert len(testbed_mod._PLACEMENT_CACHE) == 2
+        seeds = [key[0] for key in testbed_mod._PLACEMENT_CACHE]
+        assert seeds == [1, 2]  # seed 0 aged out first
+
+
+def test_spec_serialization_drops_default_user_plane_knobs():
+    """Default-valued user-plane knobs stay out of the canonical spec
+    form, so pre-cohort registry keys (and memoized runs) stay valid."""
+    spec = RunSpec(config=_tiny_config(0), method="ttl")
+    data = spec.to_dict()
+    assert "user_metrics" not in data["config"]
+    assert "user_shards" not in data["config"]
+    assert "user_shard" not in data["config"]
+    assert RunSpec.from_dict(data) == spec
+    sharded = shard_specs(
+        RunSpec(
+            config=_tiny_config(0, user_metrics="aggregate"), method="ttl"
+        ),
+        2,
+    )[1]
+    data = sharded.to_dict()
+    assert data["config"]["user_shards"] == 2
+    assert data["config"]["user_shard"] == 1
+    assert data["config"]["user_metrics"] == "aggregate"
+    assert RunSpec.from_dict(data) == sharded
 
 
 class TestSection3Drivers:

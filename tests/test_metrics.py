@@ -213,3 +213,36 @@ class TestStaleFraction:
             Observation(4.0, 3, "a"),
         ]
         assert stale_observation_fraction(observations) == pytest.approx(2 / 5)
+
+
+class TestIncrementalTrackersMatchRescans:
+    """A deployment's incrementally-tracked lags equal the full-log
+    re-scans of :mod:`repro.metrics.consistency`, bit for bit."""
+
+    @pytest.mark.parametrize("method", ["ttl", "push", "self-adaptive"])
+    def test_collected_metrics_equal_rescans(self, method):
+        from repro.experiments.config import TestbedConfig
+        from repro.experiments.testbed import build_deployment
+
+        config = TestbedConfig(
+            n_servers=6, users_per_server=2, n_updates=6,
+            game_duration_s=200.0, seed=1,
+        )
+        deployment = build_deployment(config, method)
+        metrics = deployment.run()
+        horizon = config.run_horizon_s
+        for server in deployment.servers:
+            assert metrics.server_lags[server.node.node_id] == mean_update_lag(
+                deployment.content, server.apply_log(), censor_at=horizon
+            )
+        assert len(metrics.user_lags) == len(deployment.users) == 12
+        for user in deployment.users:
+            observations = user.observations
+            log = [(obs.time, obs.version) for obs in observations]
+            user_id = user.node.node_id
+            assert metrics.user_lags[user_id] == mean_update_lag(
+                deployment.content, log, censor_at=horizon
+            )
+            assert metrics.user_stale_fractions[user_id] == (
+                stale_observation_fraction(observations)
+            )

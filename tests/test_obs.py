@@ -586,67 +586,3 @@ class TestTracerFilters:
         hits = tracer.events(node="a", kinds=("msg_send",), since=1.0, until=5.0)
         assert [(e.time, e.node) for e in hits] == [(4.0, "a")]
         assert tracer.count("msg_send", node="a") == 2
-
-
-# ----------------------------------------------------------------------
-# FabricCounters reconciliation: fast-path vs legacy transport
-# ----------------------------------------------------------------------
-class TestTransportCounterReconciliation:
-    CONFIG = dict(
-        n_servers=6, users_per_server=1, n_updates=8,
-        game_duration_s=240.0, seed=7,
-    )
-
-    def _counters(self, legacy, method, infrastructure, monkeypatch):
-        monkeypatch.setenv(
-            "REPRO_LEGACY_TRANSPORT", "1" if legacy else "0"
-        )
-        deployment = build_deployment(
-            TestbedConfig(**self.CONFIG), method, infrastructure
-        )
-        assert deployment.fabric.legacy_transport is legacy
-        metrics = deployment.run()
-        return deployment.fabric.counters, metrics
-
-    @pytest.mark.parametrize("method", ["push", "ttl"])
-    @pytest.mark.parametrize("infrastructure", ["unicast", "multicast"])
-    def test_both_transports_post_identical_counters(
-        self, method, infrastructure, monkeypatch
-    ):
-        fast, fast_metrics = self._counters(
-            False, method, infrastructure, monkeypatch
-        )
-        legacy, legacy_metrics = self._counters(
-            True, method, infrastructure, monkeypatch
-        )
-        assert fast.to_dict() == legacy.to_dict()
-        assert fast.link_bytes_kb == legacy.link_bytes_kb
-        assert fast.dropped_messages == legacy.dropped_messages
-        # Counters reconcile with the metrics each transport reported.
-        for metrics in (fast_metrics, legacy_metrics):
-            assert metrics.dropped_messages == fast.dropped_messages
-            assert metrics.isp_crossing_messages == fast.isp_crossing_messages
-            assert metrics.propagation_s == pytest.approx(fast.propagation_s)
-            assert metrics.queueing_s == pytest.approx(fast.queueing_s)
-
-    def test_counters_match_under_failure_injection(self, monkeypatch):
-        # Drops (sender/receiver down) must attribute identically on
-        # both transports.
-        config = TestbedConfig(**self.CONFIG)
-        results = []
-        for legacy in (False, True):
-            monkeypatch.setenv(
-                "REPRO_LEGACY_TRANSPORT", "1" if legacy else "0"
-            )
-            deployment = build_deployment(config, "push")
-            schedule_absence(
-                deployment.env, deployment.servers[0].node,
-                start=30.0, duration=60.0,
-            )
-            deployment.run()
-            results.append(deployment.fabric.counters.to_dict())
-        assert results[0] == results[1]
-        assert (
-            results[0]["dropped_sender_down"]
-            + results[0]["dropped_receiver_down"]
-        ) > 0

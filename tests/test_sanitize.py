@@ -339,7 +339,7 @@ class TestDriverCli(_TinyCells):
         status, out, _ = self._run("push:unicast", *self._tiny_args())
         self.assertEqual(status, 0, out)
         self.assertIn("OK", out)
-        self.assertIn("fast kernel", out)
+        self.assertIn("push:unicast", out)
 
     def test_ttl_cell_is_tie_order_independent_too(self):
         # Same-deadline TTL polls once re-paired draws under perturbation;

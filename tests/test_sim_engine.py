@@ -214,3 +214,105 @@ class TestPooledTimeout:
 
         env.process(proc(env))
         env.run()
+
+
+class TestTimerWheel:
+    def test_fires_in_deadline_order_across_lanes(self):
+        env = Environment()
+        fired = []
+        for delay in (5.0, 1.0, 3.0):
+            waiter = env.event()
+            waiter.callbacks.append(
+                lambda ev, d=delay: fired.append((env.now, d))
+            )
+            env.timers.arm(delay, waiter)
+        env.run()
+        assert fired == [(1.0, 1.0), (3.0, 3.0), (5.0, 5.0)]
+
+    def test_same_lane_is_fifo_and_sweeps_in_one_batch(self):
+        env = Environment()
+        fired = []
+        for index in range(10):
+            waiter = env.event()
+            waiter.callbacks.append(lambda ev, i=index: fired.append(i))
+            env.timers.arm(2.0, waiter)
+        env.run()
+        assert fired == list(range(10))
+        assert env.timers.armed == 10
+        assert env.timers.expired == 10
+        assert env.timers.sweeps == 1  # one control event for the batch
+        assert env.timers.pending == 0
+
+    def test_cancelled_waiters_are_skipped_lazily(self):
+        env = Environment()
+        fired = []
+        waiters = []
+        for index in range(4):
+            waiter = env.event()
+            waiter.callbacks.append(lambda ev, i=index: fired.append(i))
+            env.timers.arm(1.0, waiter)
+            waiters.append(waiter)
+        waiters[1].callbacks = None  # cancel, simpy-style
+        env.run()
+        assert fired == [0, 2, 3]
+        assert env.timers.cancelled == 1
+        assert env.timers.expired == 3
+
+    def test_negative_delay_rejected(self):
+        env = Environment()
+        with pytest.raises(ValueError, match="negative"):
+            env.timers.arm(-0.1, env.event())
+
+    def test_lane_grows_past_initial_capacity(self):
+        env = Environment()
+        n = 300  # > _INITIAL_CAPACITY, forces growth/compaction
+        fired = []
+
+        def driver(env):
+            for index in range(n):
+                waiter = env.event()
+                waiter.callbacks.append(lambda ev, i=index: fired.append(i))
+                env.timers.arm(1.0, waiter)
+                yield env.pooled_timeout(0.25)
+
+        env.process(driver(env))
+        env.run()
+        assert fired == list(range(n))
+        assert env.timers.armed == n
+        assert env.timers.expired == n
+        assert env.timers.pending == 0
+
+    def test_deadline_matches_timeout_float(self):
+        # The wheel computes `env._now + delay` -- the exact float a
+        # Timeout produces -- so both fire at the same instant even
+        # where decimal arithmetic would disagree.
+        env = Environment()
+        out = []
+
+        def driver(env):
+            yield env.pooled_timeout(0.1)
+            waiter = env.event()
+            waiter.callbacks.append(lambda ev: out.append(env.now))
+            env.timers.arm(0.2, waiter)
+            timeout = env.timeout(0.2)
+            timeout.callbacks.append(lambda ev: out.append(env.now))
+            yield env.pooled_timeout(1.0)
+
+        env.process(driver(env))
+        env.run()
+        assert len(out) == 2 and out[0] == out[1]
+
+    def test_now_stays_builtin_float_after_rearm(self):
+        # Sweep re-arms read deadlines out of a numpy array; env.now
+        # must stay a builtin float (np.float64 breaks json.dump).
+        env = Environment()
+        env.timers.arm(1.0, env.event())
+
+        def driver(env):
+            yield env.pooled_timeout(0.5)
+            env.timers.arm(1.0, env.event())
+
+        env.process(driver(env))
+        env.run()
+        assert env.now == 1.5
+        assert type(env.now) is float

@@ -24,6 +24,7 @@ from repro.experiments.section4 import fig14_unicast_inconsistency
 from repro.obs.telemetry import (
     BUCKETS_SECONDS,
     TELEMETRY,
+    TELEMETRY_ENV,
     Histogram,
     MetricsRegistry,
     append_run_entry,
@@ -568,3 +569,28 @@ class TestTelemetryCli:
         with pytest.raises(SystemExit) as excinfo:
             cli_main(["profile", "--registry", registry_path, "--run", "5"])
         assert excinfo.value.code == 2
+
+
+class TestTelemetrySwitch:
+    def test_telemetry_env_read_live(self, monkeypatch):
+        # The registry singleton is constructed at import, so the switch
+        # must track the environment at call time for setenv to work.
+        registry = MetricsRegistry()
+        monkeypatch.setenv(TELEMETRY_ENV, "0")
+        assert registry.enabled is False
+        registry.count("probe")
+        assert registry.snapshot()["counters"] == {}
+        monkeypatch.setenv(TELEMETRY_ENV, "1")
+        assert registry.enabled is True
+        registry.count("probe")
+        assert registry.snapshot()["counters"] == {"probe": 1.0}
+
+    def test_telemetry_override_beats_env(self, monkeypatch):
+        monkeypatch.setenv(TELEMETRY_ENV, "0")
+        assert MetricsRegistry(enabled=True).enabled is True
+        registry = MetricsRegistry()
+        registry.enabled = True  # direct assignment pins the switch
+        assert registry.enabled is True
+        monkeypatch.setenv(TELEMETRY_ENV, "1")
+        registry.enabled = False
+        assert registry.enabled is False

@@ -1,31 +1,29 @@
 """Unit and edge-case tests for the struct-of-arrays user plane.
 
-Covers the corners the differential suite's grid does not isolate:
-empty and single-user populations, start-time jitter collapsing many
-first visits into one sweep batch, servers failing mid-run, the
-pure-Python array backend, the :class:`~repro.sim.timers.CallbackLane`
-contract, and the LRU placement cache's keying/tuning.
+Covers the corners the golden-digest grid does not isolate: empty and
+single-user populations, coinciding visit deadlines sweeping in one
+batch, servers failing mid-run, the actor-shaped views, aggregate
+metrics and population sharding, the
+:class:`~repro.sim.timers.CallbackLane` contract, and the LRU placement
+cache's keying/tuning.  (Whole-deployment outcomes of the population
+edges are pinned by the ``edge/*`` cells of
+``tests/test_golden_digests.py``.)
 """
-
-import os
-from contextlib import contextmanager
 
 import pytest
 
-import repro.cdn.cohort as cohort_mod
 import repro.experiments.testbed as testbed_mod
-import repro.network.message as message_mod
-from repro.cdn.cohort import (
-    COHORT_BACKEND_ENV,
-    LEGACY_USERS_ENV,
-    UserCohort,
-    _NumpyBackend,
-    _PurePythonBackend,
-    _select_backend,
-    legacy_users_enabled,
-)
+from repro.cdn import LiveContent
+from repro.cdn.cohort import UserCohort
 from repro.experiments.config import TestbedConfig
+from repro.experiments.sharding import (
+    merge_shard_metrics,
+    shard_specs,
+    shard_user_counts,
+)
 from repro.experiments.testbed import build_deployment
+from repro.runner import Runner, RunSpec, run_specs
+from repro.network import NetworkFabric
 from repro.sim import Environment
 from repro.sim.timers import CallbackLane
 
@@ -43,30 +41,15 @@ def _config(seed=0, **overrides):
     return TestbedConfig(**defaults)
 
 
-@contextmanager
-def _legacy_users():
-    old = os.environ.get(LEGACY_USERS_ENV)
-    os.environ[LEGACY_USERS_ENV] = "1"
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop(LEGACY_USERS_ENV, None)
-        else:
-            os.environ[LEGACY_USERS_ENV] = old
+def _six_server_config(seed=0, **overrides):
+    overrides.setdefault("n_servers", 6)
+    return _config(seed, **overrides)
 
 
 def _run(config, method="ttl"):
-    message_mod._SEQ = 0
     deployment = build_deployment(config, method)
     metrics = deployment.run()
     return deployment, metrics
-
-
-def _comparable(metrics):
-    data = metrics.to_dict()
-    data.pop("events_processed")
-    return data
 
 
 # ----------------------------------------------------------------------
@@ -81,12 +64,6 @@ class TestPopulationEdges:
         assert metrics.user_lags == {}
         assert metrics.server_lags  # server plane unaffected
 
-    def test_zero_users_matches_actor_arm(self):
-        cohort = _comparable(_run(_config(users_per_server=0))[1])
-        with _legacy_users():
-            actors = _comparable(_run(_config(users_per_server=0))[1])
-        assert cohort == actors
-
     def test_single_user(self):
         deployment, metrics = _run(_config(n_servers=1, users_per_server=1))
         cohort = deployment.cohort
@@ -97,21 +74,10 @@ class TestPopulationEdges:
         assert observations, "single user never observed anything"
         assert observations == list(cohort.users[0].observations)
 
-    def test_jitter_straddling_one_sweep_batch(self):
-        """A tiny start window collapses every first visit into one or
-        two sweep batches; ordering and metrics must still match the
-        actor arm exactly."""
-        config = _config(user_start_window_s=0.001)
-        cohort_metrics = _comparable(_run(config)[1])
-        with _legacy_users():
-            actor_metrics = _comparable(_run(config)[1])
-        assert cohort_metrics == actor_metrics
-
     def test_batched_sweeps_actually_batch(self):
         """Coinciding deadlines expire in one sweep: with every start
         offset pinned to the same instant, the first batch serves the
         whole population off a single control event."""
-        message_mod._SEQ = 0
         deployment = build_deployment(_config(), "ttl")
         cohort = deployment.cohort
         cohort._start_offsets = [10.0] * cohort.n_users
@@ -125,7 +91,6 @@ class TestPopulationEdges:
 # ----------------------------------------------------------------------
 class TestMidRunFailures:
     def test_failed_visits_accrue_and_polling_resumes(self):
-        message_mod._SEQ = 0
         config = _config(n_servers=2, users_per_server=1)
         deployment = build_deployment(config, "ttl")
         cohort = deployment.cohort
@@ -151,57 +116,6 @@ class TestMidRunFailures:
         times = [obs.time for obs in cohort.observations_of(victim_slot)]
         assert any(t > 140.0 for t in times)
 
-    def test_mid_run_failure_matches_actor_arm(self):
-        def run_with_storm():
-            message_mod._SEQ = 0
-            config = _config(n_servers=2, users_per_server=1)
-            deployment = build_deployment(config, "ttl")
-            victim = deployment.servers[0].node
-
-            def storm(env):
-                yield env.timeout(80.0)
-                victim.mark_down()
-                yield env.timeout(60.0)
-                victim.mark_up()
-
-            deployment.env.process(storm(deployment.env))
-            return _comparable(deployment.run())
-
-        cohort = run_with_storm()
-        with _legacy_users():
-            actors = run_with_storm()
-        assert cohort == actors
-
-
-# ----------------------------------------------------------------------
-# array backend selection
-# ----------------------------------------------------------------------
-class TestArrayBackend:
-    def test_pure_python_fallback_is_bit_identical(self, monkeypatch):
-        numpy_metrics = _comparable(_run(_config())[1])
-        monkeypatch.setattr(cohort_mod, "ARRAY_BACKEND", _PurePythonBackend())
-        fallback_deployment, fallback = _run(_config())
-        assert fallback_deployment.cohort.backend.name == "array"
-        assert _comparable(fallback) == numpy_metrics
-
-    def test_backend_env_forces_fallback(self, monkeypatch):
-        monkeypatch.setenv(COHORT_BACKEND_ENV, "array")
-        assert _select_backend().name == "array"
-        monkeypatch.setenv(COHORT_BACKEND_ENV, "python")
-        assert _select_backend().name == "array"
-        monkeypatch.delenv(COHORT_BACKEND_ENV)
-        # numpy is installed in the test environment, so the default
-        # selection picks it.
-        assert _select_backend().name == "numpy"
-
-    def test_legacy_users_env_parsing(self, monkeypatch):
-        monkeypatch.delenv(LEGACY_USERS_ENV, raising=False)
-        assert not legacy_users_enabled()
-        monkeypatch.setenv(LEGACY_USERS_ENV, "0")
-        assert not legacy_users_enabled()
-        monkeypatch.setenv(LEGACY_USERS_ENV, "1")
-        assert legacy_users_enabled()
-
 
 # ----------------------------------------------------------------------
 # cohort user views
@@ -224,8 +138,19 @@ class TestCohortViews:
         view = deployment.cohort.users[0]
         view.user_ttl_s = 5.0
         assert deployment.cohort.users[0].user_ttl_s == 5.0
-        with pytest.raises(ValueError):
-            view.user_ttl_s = 0.0
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                view.user_ttl_s = bad
+        assert view.user_ttl_s == 5.0
+
+    @pytest.mark.parametrize("ttl", [0.0, -1.0, float("nan"), float("inf")])
+    def test_constructor_ttl_must_be_finite_and_positive(self, ttl):
+        env = Environment()
+        with pytest.raises(ValueError, match="finite and positive"):
+            UserCohort(
+                env, NetworkFabric(env), LiveContent("game", update_times=[1.0]),
+                [], user_ttl_s=ttl, start_offsets=[], targets=[],
+            )
 
     def test_aggregate_mode_has_no_per_user_observations(self):
         deployment, _ = _run(_config(user_metrics="aggregate"))
@@ -339,8 +264,80 @@ class TestPlacementCacheLRU:
     def test_shard_cache_reuse_is_bit_transparent(self):
         testbed_mod._PLACEMENT_CACHE.clear()
         config = _config(user_metrics="aggregate", user_shards=2, user_shard=1)
-        message_mod._SEQ = 0
         miss = build_deployment(config, "ttl").run().to_dict()
-        message_mod._SEQ = 0
         hit = build_deployment(config, "ttl").run().to_dict()
         assert miss == hit
+
+
+# ----------------------------------------------------------------------
+# aggregate metrics and sharding
+# ----------------------------------------------------------------------
+def test_aggregate_mode_matches_per_user_rollup():
+    """Aggregate metrics equal the per-user layout re-grouped by home
+    server: same observations, coarser bookkeeping."""
+    aggregate = _run(_config(user_metrics="aggregate"))[1]
+    per_user = _run(_config(user_metrics="per-user"))[1]
+    groups = {}
+    for node_id, lag in per_user.user_lags.items():
+        groups.setdefault(node_id.rsplit("-user-", 1)[0], []).append(
+            (lag, per_user.user_stale_fractions[node_id])
+        )
+    for group, pairs in groups.items():
+        mean_lag = sum(lag for lag, _ in pairs) / len(pairs)
+        mean_stale = sum(stale for _, stale in pairs) / len(pairs)
+        assert aggregate.user_lags[group] == pytest.approx(mean_lag)
+        assert aggregate.user_stale_fractions[group] == pytest.approx(mean_stale)
+
+
+class TestShardedMerge:
+    def _specs(self, shards, **overrides):
+        config = _six_server_config(0, user_metrics="aggregate", **overrides)
+        return shard_specs(RunSpec(config=config, method="ttl"), shards)
+
+    def test_merge_is_worker_count_invariant(self):
+        specs = self._specs(3)
+        weights = shard_user_counts(2, 3)
+        serial = merge_shard_metrics(
+            run_specs(specs, Runner(workers=1, registry=False)).metrics, weights
+        )
+        pooled = merge_shard_metrics(
+            run_specs(specs, Runner(workers=3, registry=False)).metrics, weights
+        )
+        assert serial.to_dict() == pooled.to_dict()
+
+    def test_shards_partition_the_population(self):
+        specs = self._specs(2, users_per_server=3)
+        outcome = run_specs(specs, Runner(workers=1, registry=False))
+        merged = merge_shard_metrics(
+            outcome.metrics, shard_user_counts(3, 2)
+        )
+        # Same server plane in every shard; each user simulated once.
+        for metrics in outcome.metrics:
+            assert list(metrics.server_lags) == list(merged.server_lags)
+        assert merged.name.endswith("[merged x2]")
+        assert len(merged.user_lags) == 6  # one group per home server
+
+    def test_sharding_requires_aggregate_metrics(self):
+        spec = RunSpec(config=_six_server_config(0), method="ttl")
+        with pytest.raises(ValueError, match="aggregate"):
+            shard_specs(spec, 2)
+
+    def test_single_shard_passthrough(self):
+        spec = RunSpec(config=_six_server_config(0), method="ttl")
+        assert shard_specs(spec, 1) == [spec]
+
+    def test_mismatched_server_planes_rejected(self):
+        specs = self._specs(2)
+        outcome = run_specs(specs, Runner(workers=1, registry=False))
+        other = build_deployment(
+            _six_server_config(0, n_servers=4, user_metrics="aggregate"), "ttl"
+        ).run()
+        with pytest.raises(ValueError, match="server plane"):
+            merge_shard_metrics(
+                [outcome.metrics[0], other], shard_user_counts(2, 2)
+            )
+
+    def test_shard_user_counts_cover_uneven_splits(self):
+        assert shard_user_counts(5, 2) == [3, 2]
+        assert shard_user_counts(1, 4) == [1, 0, 0, 0]
+        assert shard_user_counts(0, 2) == [0, 0]
