@@ -4,7 +4,8 @@
 PYTEST := PYTHONPATH=src python -m pytest
 
 .PHONY: smoke lint lint-compile lint-repro lint-ruff typecheck \
-	test bench bench-engine bench-section4 bench-user-plane bench-all \
+	test bench bench-claims bench-engine bench-section4 bench-user-plane \
+	bench-all \
 	report trace-demo scenario-smoke scale-smoke planet-scale \
 	sanitize-smoke analyze-smoke
 
@@ -81,6 +82,12 @@ bench-user-plane:
 
 bench-all:
 	$(PYTEST) benchmarks/ --benchmark-only
+
+# The paper-claim assertions of every bench module (Sections 3 and 5,
+# ablations, future work) and the exact kernel-event ceilings, run
+# once each without timing.
+bench-claims:
+	$(PYTEST) -q benchmarks/ --benchmark-disable
 
 # Fig. 20x at CI scale: 10k servers x 100k users through the sharded
 # sweep path, with wall-clock and peak-RSS budgets asserted off the

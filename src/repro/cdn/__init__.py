@@ -1,15 +1,9 @@
-"""CDN substrate: content model, origin, edge servers, DNS and end users."""
+"""CDN substrate: content model, origin, edge servers and end users."""
 
 from .base import Actor, RESPONSE_KINDS, UpdateSourceMixin
 from .cache import CacheEntry, TTLCache
-from .client import (
-    EndUserActor,
-    FixedSelector,
-    Observation,
-    SwitchEveryVisitSelector,
-)
+from .cohort import Observation, UserCohort
 from .content import DEFAULT_LIGHT_SIZE_KB, DEFAULT_UPDATE_SIZE_KB, LiveContent
-from .dns import DnsDirectory
 from .provider import ProviderActor
 from .server import ServerActor, schedule_absence
 
@@ -25,9 +19,6 @@ __all__ = [
     "ProviderActor",
     "ServerActor",
     "schedule_absence",
-    "EndUserActor",
+    "UserCohort",
     "Observation",
-    "FixedSelector",
-    "SwitchEveryVisitSelector",
-    "DnsDirectory",
 ]

@@ -14,7 +14,7 @@ version and knows how to push / invalidate / notify downstream nodes.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional, Set
+from typing import Any, Dict, Generator, List, Optional
 
 from ..network.link import NetworkFabric
 from ..network.message import Message, MessageKind
@@ -30,7 +30,6 @@ RESPONSE_KINDS = frozenset(
         MessageKind.POLL_NOT_MODIFIED,
         MessageKind.FETCH_RESPONSE,
         MessageKind.CONTENT_RESPONSE,
-        MessageKind.DNS_RESPONSE,
     }
 )
 
@@ -186,10 +185,12 @@ class UpdateSourceMixin:
         #: visit-triggered poll, so later updates in the same burst are
         #: aggregated for free.
         self.adaptive_members: Dict[NetworkNode, bool] = {}
-        #: Members that subscribed to direct pushes (the generic dynamic
-        #: method of repro.core.dynamic; plain Push wires ``children``
-        #: instead and does not use this set).
-        self.push_members: Set[NetworkNode] = set()
+        #: Members that subscribed to direct pushes, in subscription
+        #: order (the generic dynamic method of repro.core.dynamic; plain
+        #: Push wires ``children`` instead and does not use this).  A
+        #: dict, not a set: pushes go out in this order, and a set of
+        #: identity-hashed nodes iterates in memory-address order.
+        self.push_members: Dict[NetworkNode, None] = {}
 
     def source_version(self) -> int:
         raise NotImplementedError
@@ -280,7 +281,7 @@ class UpdateSourceMixin:
         if isinstance(message.payload, dict):
             mode = message.payload.get("mode")
         if mode == "invalidation":
-            self.push_members.discard(message.src)
+            self.push_members.pop(message.src, None)
             # If the member is behind already (an update happened while
             # its switch notice was in flight), notify it immediately.
             if self.source_version() > (message.version or 0):
@@ -295,7 +296,7 @@ class UpdateSourceMixin:
                 self.adaptive_members[message.src] = False
         elif mode == "push":
             self.adaptive_members.pop(message.src, None)
-            self.push_members.add(message.src)
+            self.push_members[message.src] = None
             # Bring the new subscriber up to date immediately.
             if self.source_version() > (message.version or 0):
                 self.send(
@@ -306,6 +307,6 @@ class UpdateSourceMixin:
                 )
         elif mode == "ttl":
             self.adaptive_members.pop(message.src, None)
-            self.push_members.discard(message.src)
+            self.push_members.pop(message.src, None)
         else:
             raise ValueError("malformed switch notice: %r" % (message.payload,))

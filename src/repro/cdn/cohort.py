@@ -1,9 +1,13 @@
 """Struct-of-arrays end-user plane.
 
-Every deployment carries its end users in one :class:`UserCohort`
-instead of one :class:`~repro.cdn.client.EndUserActor` per user: at the
-ROADMAP's planet scale (1M+ users) per-user generator frames, pending
-dicts and waiter events would dominate both memory and GC time.
+Every end user of a deployment (and of a hand-wired model) is one slot
+of a :class:`UserCohort`.  A user periodically requests the live
+content from a server -- its fixed home server, or a different random
+server on every visit (the Fig. 24 switch-every-visit redirection) --
+and records every :class:`Observation`; the observation log is the raw
+material for all user-perspective metrics.  At the ROADMAP's planet
+scale (1M+ users) per-user generator frames, pending dicts and waiter
+events would dominate both memory and GC time, so:
 
 - per-slot state (poll TTL, failed-visit count, home/last server,
   running staleness accumulators) lives in parallel unboxed numpy
@@ -41,8 +45,9 @@ and the population edges):
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,12 +56,6 @@ from ..network.message import Message, MessageKind
 from ..sim.engine import Environment, Event
 from ..sim.timers import CallbackLane
 from .base import RESPONSE_KINDS
-from .client import (
-    REQUEST_TIMEOUT_S,
-    FixedSelector,
-    Observation,
-    SwitchEveryVisitSelector,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..network.link import NetworkFabric
@@ -64,20 +63,32 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from ..sim.rng import RandomStream
     from .content import LiveContent
 
-__all__ = ["UserCohort"]
+__all__ = ["UserCohort", "Observation", "REQUEST_TIMEOUT_S"]
+
+#: Default content-request timeout.
+REQUEST_TIMEOUT_S = 30.0
 
 _INF = float("inf")
 _CONTENT_REQUEST = MessageKind.CONTENT_REQUEST
 
 
+@dataclass(frozen=True)
+class Observation:
+    """One successful content visit by one user."""
+
+    time: float
+    version: int
+    server_id: str
+
+
 class UserCohort:
     """All end users of one deployment, stored column-wise.
 
-    *nodes* come in home-server-major slot order with one start offset
-    per slot (see ``testbed._make_users``).  Exactly one of *targets*
-    (fixed selector: the home server node per slot) or *switch_servers*
-    + *switch_stream* (the Fig. 24 switch-every-visit selector) must be
-    given.
+    *nodes* come with one start offset per slot (deployments use
+    home-server-major slot order, see ``testbed._make_users``).  Exactly
+    one of *targets* (fixed selector: the home server node per slot) or
+    *switch_servers* + *switch_stream* (the Fig. 24 switch-every-visit
+    selector) must be given.
     """
 
     __slots__ = (
@@ -96,7 +107,6 @@ class UserCohort:
         "_switch_servers",
         "_switch_stream",
         "_switch_last",
-        "_switch_view",
         "_pending",
         "_visit_heap",
         "_order",
@@ -160,7 +170,6 @@ class UserCohort:
         self._switch_last: List[Optional["NetworkNode"]] = (
             [None] * n if switch_servers is not None else []
         )
-        self._switch_view: Any = None
         #: In-flight requests: message seq -> (slot, request, target).
         #: The request message is retained for ``msg_timeout`` trace
         #: detail; the target for the visit traces and observations.
@@ -273,8 +282,8 @@ class UserCohort:
             if len(servers) == 1:
                 target = servers[0]
             else:
-                # Same draw loop as SwitchEveryVisitSelector.select, with
-                # the per-user ``_last`` held column-wise.
+                # Redraw until the server differs from this slot's
+                # previous one (held column-wise in ``_switch_last``).
                 stream = self._switch_stream
                 assert stream is not None
                 choice = stream.choice
@@ -353,15 +362,13 @@ class UserCohort:
         self._push_visit(now + float(self._ttl[slot]), slot)
 
     # ------------------------------------------------------------------
-    # actor-shaped access (tests, perturbations)
+    # per-slot access (tests, perturbations)
     # ------------------------------------------------------------------
     @property
     def users(self) -> List["_CohortUserView"]:
-        """Actor-shaped views, one per slot (built lazily, cached)."""
+        """Per-slot views (built lazily, cached)."""
         views = self._views
         if views is None:
-            if not self._fixed and self._switch_view is None:
-                self._switch_view = _CohortSwitchSelector(self)
             views = self._views = [
                 _CohortUserView(self, slot) for slot in range(len(self.nodes))
             ]
@@ -395,68 +402,20 @@ class UserCohort:
         return sum(len(slot_obs) for slot_obs in observations)
 
 
-class _CohortFixedSelector(FixedSelector):
-    """Per-slot write-through view of a cohort's fixed selector.
-
-    ``isinstance(selector, FixedSelector)`` holds (the Reconfiguration
-    perturbation filters on it) and assigning ``selector.server``
-    re-homes the slot inside the cohort arrays.
-    """
-
-    def __init__(self, cohort: UserCohort, slot: int) -> None:
-        # Deliberately no super().__init__: ``server`` is a property.
-        self._cohort = cohort
-        self._slot = slot
-
-    @property
-    def server(self) -> "NetworkNode":
-        return self._cohort._targets[self._slot]
-
-    @server.setter
-    def server(self, node: "NetworkNode") -> None:
-        self._cohort._targets[self._slot] = node
-
-    def select(self, user: "NetworkNode", now: float, visit_index: int) -> "NetworkNode":
-        return self._cohort._targets[self._slot]
-
-
-class _CohortSwitchSelector(SwitchEveryVisitSelector):
-    """Shared view of a switch-mode cohort's selector state.
-
-    ``servers`` aliases the cohort's own list, so mutating it through
-    the view changes every slot's candidate set.  Per-slot ``_last``
-    state stays in the cohort arrays; this view's own ``_last`` is
-    unused.
-    """
-
-    def __init__(self, cohort: UserCohort) -> None:
-        stream = cohort._switch_stream
-        assert stream is not None
-        self.servers = cohort._switch_servers
-        self.stream = stream
-        self._last = None
-
-
 class _CohortUserView:
-    """Read-mostly actor-shaped view of one cohort slot.
+    """Read-mostly handle on one cohort slot.
 
-    Exposes the ``EndUserActor`` surface that tests and perturbations
-    touch: ``node``, ``selector``, ``observations``, ``failed_visits``,
-    a writable ``user_ttl_s`` (FlashCrowd / DiurnalModulation write it
-    mid-run) and a no-op ``start`` (the cohort manages its own timers).
+    Exposes what tests and perturbations read per user -- ``node``,
+    ``observations``, ``failed_visits`` -- and a writable
+    ``user_ttl_s`` (FlashCrowd / DiurnalModulation write it mid-run).
     """
 
-    __slots__ = ("_cohort", "_slot", "node", "content", "selector")
+    __slots__ = ("_cohort", "_slot", "node")
 
     def __init__(self, cohort: UserCohort, slot: int) -> None:
         self._cohort = cohort
         self._slot = slot
         self.node = cohort.nodes[slot]
-        self.content = cohort.content
-        if cohort._fixed:
-            self.selector: Any = _CohortFixedSelector(cohort, slot)
-        else:
-            self.selector = cohort._switch_view
 
     @property
     def user_ttl_s(self) -> float:
@@ -470,16 +429,9 @@ class _CohortUserView:
         self._cohort._ttl[self._slot] = value
 
     @property
-    def start_offset_s(self) -> float:
-        return self._cohort._start_offsets[self._slot]
-
-    @property
     def failed_visits(self) -> int:
         return self._cohort.failed_visits_of(self._slot)
 
     @property
     def observations(self) -> List[Observation]:
         return self._cohort.observations_of(self._slot)
-
-    def start(self) -> None:
-        """No-op: cohort slots are started by :meth:`UserCohort.start`."""

@@ -212,7 +212,7 @@ class Deployment:
 
     @property
     def users(self) -> Sequence:
-        """Actor-shaped views of the cohort's users (built lazily --
+        """Per-slot views of the cohort's users (built lazily --
         planet-scale collection never materialises them)."""
         return self.cohort.users
 

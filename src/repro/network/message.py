@@ -41,10 +41,6 @@ class MessageKind(enum.Enum):
     CONTENT_REQUEST = "content_request"
     CONTENT_RESPONSE = "content_response"
 
-    # --- DNS ------------------------------------------------------------
-    DNS_QUERY = "dns_query"
-    DNS_RESPONSE = "dns_response"
-
 
 #: Message kinds that carry a content body (the paper's "update messages").
 UPDATE_KINDS = frozenset(

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, ClassVar, List, Tuple
 
-from ..cdn.client import EndUserActor, FixedSelector
 from ..cdn.server import schedule_absence
 from ..network.node import NetworkNode
 from ..sim.rng import RandomStream
@@ -215,23 +214,22 @@ class Reconfiguration(Perturbation):
 
     def install(self, deployment: "Deployment", stream: RandomStream) -> None:
         env = deployment.env
-        users = [
-            user
-            for user in deployment.users
-            if isinstance(user.selector, FixedSelector)
-        ]
+        cohort = deployment.cohort
         server_nodes = [server.node for server in deployment.servers]
-        if not users or len(server_nodes) < 2:
+        n_users = cohort.n_users
+        # Switch-every-visit users have no home server to migrate.
+        if not cohort._fixed or n_users == 0 or len(server_nodes) < 2:
             return
-        k = max(1, round(len(users) * self.migrate_fraction))
+        k = max(1, round(n_users * self.migrate_fraction))
 
-        def migrate(moves: List[Tuple[EndUserActor, NetworkNode]], when: float):
+        def migrate(moves: List[Tuple[int, NetworkNode]], when: float):
             if when > 0:
                 yield env.pooled_timeout(when)
-            for user, node in moves:
-                user.selector.server = node
+            targets = cohort._targets
+            for slot, node in moves:
+                targets[slot] = node
 
         for when in self.event_times_s:
-            movers = stream.sample(users, min(k, len(users)))
-            moves = [(user, stream.choice(server_nodes)) for user in movers]
+            movers = stream.sample(range(n_users), k)
+            moves = [(slot, stream.choice(server_nodes)) for slot in movers]
             env.process(migrate(moves, when))

@@ -1,15 +1,12 @@
-"""Integration tests for provider / server / user actors."""
+"""Integration tests for the provider and server actors and their users."""
 
 import pytest
 
 from repro.cdn import (
-    DnsDirectory,
-    EndUserActor,
-    FixedSelector,
     LiveContent,
     ProviderActor,
     ServerActor,
-    SwitchEveryVisitSelector,
+    UserCohort,
     schedule_absence,
 )
 from repro.consistency import PushPolicy, TTLPolicy, UnicastInfrastructure
@@ -92,18 +89,14 @@ class TestServerServing:
         )
         UnicastInfrastructure().wire(provider, [server])
         provider.use_push()
-        user = EndUserActor(
-            env,
-            topology.users[0][0],
-            fabric,
-            content,
-            FixedSelector(server.node),
-            user_ttl_s=10.0,
+        cohort = UserCohort(
+            env, fabric, content, [topology.users[0][0]],
+            user_ttl_s=10.0, start_offsets=[0.0], targets=[server.node],
         )
         server.start()
-        user.start()
+        cohort.start()
         env.run(until=65)
-        versions = [obs.version for obs in user.observations]
+        versions = [obs.version for obs in cohort.observations_of(0)]
         assert versions[0] == 0
         assert versions[-1] == 1
         assert versions == sorted(versions)
@@ -113,102 +106,22 @@ class TestServerServing:
         server = ServerActor(
             env, topology.servers[0], fabric, content, policy=PushPolicy()
         )
-        user = EndUserActor(
-            env,
-            topology.users[0][0],
-            fabric,
-            content,
-            FixedSelector(server.node),
-            user_ttl_s=5.0,
+        cohort = UserCohort(
+            env, fabric, content, [topology.users[0][0]],
+            user_ttl_s=5.0, start_offsets=[0.0], targets=[server.node],
             request_timeout_s=4.0,
         )
         schedule_absence(env, server.node, start=10.0, duration=20.0)
         server.start()
-        user.start()
+        cohort.start()
         env.run(until=60)
-        assert user.failed_visits >= 2
+        assert cohort.failed_visits_of(0) >= 2
         assert server.node.is_up  # recovered
-
-    @pytest.mark.parametrize("ttl", [0.0, -1.0, float("nan"), float("inf")])
-    def test_user_ttl_must_be_finite_and_positive(self, ttl):
-        env, streams, topology, fabric, content = make_world()
-        with pytest.raises(ValueError, match="finite and positive"):
-            EndUserActor(
-                env,
-                topology.users[0][0],
-                fabric,
-                content,
-                FixedSelector(topology.servers[0]),
-                user_ttl_s=ttl,
-            )
 
     def test_absence_validation(self):
         env, streams, topology, fabric, content = make_world()
         with pytest.raises(ValueError):
             schedule_absence(env, topology.servers[0], start=0.0, duration=0.0)
-
-
-class TestSelectors:
-    def test_switch_selector_never_repeats(self):
-        env, streams, topology, fabric, content = make_world(n_servers=4)
-        stream = streams.stream("switch")
-        selector = SwitchEveryVisitSelector(topology.servers, stream)
-        previous = None
-        for i in range(50):
-            chosen = selector.select(topology.users[0][0], 0.0, i)
-            assert chosen is not previous
-            previous = chosen
-
-    def test_switch_selector_single_server(self):
-        env, streams, topology, fabric, content = make_world(n_servers=1)
-        selector = SwitchEveryVisitSelector(
-            topology.servers, streams.stream("switch")
-        )
-        assert selector.select(None, 0.0, 0) is topology.servers[0]
-        assert selector.select(None, 0.0, 1) is topology.servers[0]
-
-
-class TestDns:
-    def test_cached_assignment_sticks_until_ttl(self):
-        env, streams, topology, fabric, content = make_world(n_servers=5)
-        dns = DnsDirectory(topology.servers, streams.stream("dns"), dns_ttl_s=60.0)
-        user = topology.users[0][0]
-        first = dns.resolve(user, now=0.0)
-        assert dns.resolve(user, now=1.0) is first
-        assert dns.cache_hits >= 1
-
-    def test_reassignment_after_expiry_balances_load(self):
-        env, streams, topology, fabric, content = make_world(n_servers=8)
-        dns = DnsDirectory(
-            topology.servers, streams.stream("dns"), dns_ttl_s=10.0, candidates=4
-        )
-        user = topology.users[0][0]
-        seen = set()
-        t = 0.0
-        for _ in range(80):
-            seen.add(dns.resolve(user, now=t).node_id)
-            t += 20.0  # always past the lease
-        assert len(seen) >= 2  # load-balanced across candidates
-
-    def test_candidates_are_nearby(self):
-        env, streams, topology, fabric, content = make_world(n_servers=10)
-        dns = DnsDirectory(
-            topology.servers, streams.stream("dns"), dns_ttl_s=1.0, candidates=3
-        )
-        user = topology.users[0][0]
-        ranked = sorted(topology.servers, key=user.distance_km)
-        allowed = {server.node_id for server in ranked[:3]}
-        for t in range(0, 200, 7):
-            assert dns.resolve(user, now=float(t)).node_id in allowed
-
-    def test_down_server_skipped(self):
-        env, streams, topology, fabric, content = make_world(n_servers=3)
-        dns = DnsDirectory(topology.servers, streams.stream("dns"), dns_ttl_s=5.0)
-        down = topology.servers[0]
-        down.is_up = False
-        user = topology.users[1][0]
-        for t in range(0, 100, 10):
-            assert dns.resolve(user, now=float(t)) is not down
 
 
 class TestRequestResponse:

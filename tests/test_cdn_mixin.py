@@ -53,6 +53,18 @@ class TestSwitchProtocol:
         switch(provider, servers[0], "ttl")
         assert servers[0].node not in provider.push_members
 
+    def test_pushes_follow_subscription_order(self, world, monkeypatch):
+        env, fabric, content, provider, servers = world
+        order = [servers[2], servers[0], servers[1]]
+        for server in order:
+            switch(provider, server, "push")
+        sent = []
+        monkeypatch.setattr(
+            provider, "send", lambda kind, dst, *args, **kwargs: sent.append(dst)
+        )
+        provider.serve_dynamic_members(1)
+        assert sent == [server.node for server in order]
+
     def test_push_and_invalidation_are_exclusive(self, world):
         env, fabric, content, provider, servers = world
         switch(provider, servers[0], "invalidation")

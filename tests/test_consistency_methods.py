@@ -4,11 +4,10 @@ Invalidation / self-adaptive / adaptive-TTL)."""
 import pytest
 
 from repro.cdn import (
-    EndUserActor,
-    FixedSelector,
     LiveContent,
     ProviderActor,
     ServerActor,
+    UserCohort,
 )
 from repro.consistency import (
     AdaptiveTTLPolicy,
@@ -38,20 +37,16 @@ def deploy(method_factory, wire, updates, n_servers=3, seed=2, horizon=400.0,
     ]
     UnicastInfrastructure().wire(provider, servers)
     wire(provider)
-    user_actors = []
-    if users:
-        for index, server in enumerate(servers):
-            user = EndUserActor(
-                env, topology.users[index][0], fabric, content,
-                FixedSelector(server.node), user_ttl_s=user_ttl,
-            )
-            user_actors.append(user)
+    homes = [server.node for server in servers] if users else []
+    cohort = UserCohort(
+        env, fabric, content, [topology.users[i][0] for i in range(len(homes))],
+        user_ttl_s=user_ttl, start_offsets=[0.0] * len(homes), targets=homes,
+    )
     for server in servers:
         server.start()
-    for user in user_actors:
-        user.start()
+    cohort.start()
     env.run(until=horizon)
-    return env, fabric, content, provider, servers, user_actors
+    return env, fabric, content, provider, servers, cohort.users
 
 
 class TestTTLPolicy:

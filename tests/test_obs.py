@@ -27,11 +27,20 @@ from repro.consistency import TTLPolicy, UnicastInfrastructure
 from repro.experiments import TestbedConfig, build_deployment, build_system
 from repro.experiments.config import smoke_scale
 from repro.experiments.testbed import DeploymentMetrics
-from repro.network import NetworkFabric, TopologyBuilder
+from repro.network import (
+    ISP,
+    FabricParams,
+    GeoPoint,
+    InterISPModel,
+    Message,
+    MessageKind,
+    NetworkFabric,
+    NetworkNode,
+    TopologyBuilder,
+)
 from repro.network.message import LIGHT_KINDS, UPDATE_KINDS
 from repro.obs import (
     NULL_TRACER,
-    FabricCounters,
     RecordingTracer,
     attribution_components,
     format_attribution_table,
@@ -374,20 +383,35 @@ class TestTracer:
 # ----------------------------------------------------------------------
 class TestCounters:
     def test_fabric_counters_record(self):
-        counters = FabricCounters()
-        counters.record_sent("a", "b", 2.0)
-        counters.record_sent("a", "b", 1.0)
-        counters.record_sent("b", "a", 4.0)
-        counters.record_propagation(0.5, 0.0, 2.0)
-        counters.record_propagation(0.25, 0.75, 1.0)
-        assert counters.messages_sent == 3
-        assert counters.bytes_kb == pytest.approx(7.0)
-        assert counters.link_bytes_kb == {"a->b": 3.0, "b->a": 4.0}
+        """Sends through a jitter-free fabric: a and b share an ISP, c
+        sits behind a fixed 0.75 s inter-ISP penalty."""
+        env = Environment()
+        fabric = NetworkFabric(
+            env,
+            params=FabricParams(
+                latency_jitter_frac=0.0,
+                inter_isp=InterISPModel(base_s=0.75, jitter_s=0.0),
+            ),
+        )
+        home, away = ISP(1, "home", "r"), ISP(2, "away", "r")
+        a = NetworkNode(env, "a", GeoPoint(0.0, 0.0), home)
+        b = NetworkNode(env, "b", GeoPoint(0.0, 10.0), home)
+        c = NetworkNode(env, "c", GeoPoint(10.0, 0.0), away)
+        sends = [(a, b, 2.0), (a, b, 1.0), (b, a, 4.0), (a, c, 0.5)]
+        for src, dst, size_kb in sends:
+            fabric.send(Message(MessageKind.POLL, src, dst, size_kb))
+        env.run()
+        counters = fabric.counters
+        assert counters.messages_sent == 4
+        assert counters.bytes_kb == pytest.approx(7.5)
+        assert counters.link_bytes_kb == {"a->b": 3.0, "b->a": 4.0, "a->c": 0.5}
         assert counters.isp_crossing_messages == 1
-        assert counters.isp_crossing_kb == pytest.approx(1.0)
+        assert counters.isp_crossing_kb == pytest.approx(0.5)
         assert counters.isp_penalty_s == pytest.approx(0.75)
-        assert counters.propagation_s == pytest.approx(0.75)
-        assert counters.to_dict()["n_links"] == 2
+        assert counters.propagation_s == pytest.approx(
+            sum(fabric.min_latency_s(src, dst) for src, dst, _ in sends)
+        )
+        assert counters.to_dict()["n_links"] == 3
 
     def test_staleness_histogram_bins(self):
         edges, counts = staleness_histogram([0.5, 1.5, 7.0, 1000.0])

@@ -2,7 +2,8 @@
 
 Covers the corners the golden-digest grid does not isolate: empty and
 single-user populations, coinciding visit deadlines sweeping in one
-batch, servers failing mid-run, the actor-shaped views, aggregate
+batch, servers failing mid-run, the per-slot views, the two server
+selectors and which of them a Reconfiguration migrates, aggregate
 metrics and population sharding, the
 :class:`~repro.sim.timers.CallbackLane` contract, and the LRU placement
 cache's keying/tuning.  (Whole-deployment outcomes of the population
@@ -24,7 +25,8 @@ from repro.experiments.sharding import (
 from repro.experiments.testbed import build_deployment
 from repro.runner import Runner, RunSpec, run_specs
 from repro.network import NetworkFabric
-from repro.sim import Environment
+from repro.scenarios.perturbations import Reconfiguration
+from repro.sim import Environment, StreamRegistry
 from repro.sim.timers import CallbackLane
 
 
@@ -158,6 +160,57 @@ class TestCohortViews:
         assert cohort.aggregate is not None
         with pytest.raises(RuntimeError, match="aggregate"):
             cohort.observations_of(0)
+
+
+# ----------------------------------------------------------------------
+# server selectors
+# ----------------------------------------------------------------------
+class TestSelectors:
+    def test_switch_never_revisits_the_previous_server(self):
+        deployment, _ = _run(_config(user_selector="switch"))
+        cohort = deployment.cohort
+        assert cohort.total_failed_visits() == 0
+        for slot in range(cohort.n_users):
+            servers = [obs.server_id for obs in cohort.observations_of(slot)]
+            assert len(set(servers)) >= 2
+            assert all(prev != cur for prev, cur in zip(servers, servers[1:]))
+
+    def test_switch_with_one_server_always_visits_it(self):
+        deployment, _ = _run(
+            _config(n_servers=1, users_per_server=3, user_selector="switch")
+        )
+        cohort = deployment.cohort
+        (only,) = [server.node.node_id for server in deployment.servers]
+        for slot in range(cohort.n_users):
+            servers = [obs.server_id for obs in cohort.observations_of(slot)]
+            assert servers
+            assert set(servers) == {only}
+
+
+class TestReconfigurationEligibility:
+    """Only fixed-home users migrate; switch-mode users have no home."""
+
+    def _install(self, config):
+        deployment = build_deployment(config, "ttl")
+        stream = StreamRegistry(7).stream("perturb")
+        Reconfiguration(event_times_s=(60.0, 120.0)).install(deployment, stream)
+        drew = stream.random() != StreamRegistry(7).stream("perturb").random()
+        return deployment, drew
+
+    def test_switch_deployment_draws_nothing_and_runs_unperturbed(self):
+        config = _config(user_selector="switch")
+        deployment, drew = self._install(config)
+        assert not drew
+        baseline = build_deployment(config, "ttl").run()
+        assert deployment.run().to_dict() == baseline.to_dict()
+
+    def test_fixed_deployment_rehomes_users(self):
+        deployment, drew = self._install(_config())
+        assert drew
+        cohort = deployment.cohort
+        homes = list(cohort._targets)
+        deployment.run()
+        assert cohort._targets != homes
 
 
 # ----------------------------------------------------------------------
