@@ -7,7 +7,7 @@ PYTEST := PYTHONPATH=src python -m pytest
 	test bench bench-claims bench-engine bench-section4 bench-user-plane \
 	bench-all \
 	report trace-demo scenario-smoke scale-smoke planet-scale \
-	sanitize-smoke analyze-smoke
+	sanitize-smoke analyze-smoke perfbench-check
 
 # Aggregate static-analysis gate.  lint-ruff and typecheck no-op with a
 # notice when ruff/mypy are not installed (offline containers); CI
@@ -47,6 +47,13 @@ test:
 # event-queue order (see docs/static-analysis.md).
 sanitize-smoke:
 	PYTHONPATH=src python -m repro sanitize
+
+# The repo benchmark's own tests (perfbench/): tiny traced and untraced
+# runs that wrap Resource.request, Environment.run and
+# TopologyBuilder.build, so a kernel change that breaks the benchmark
+# harness fails here rather than at benchmark time.
+perfbench-check:
+	PYTHONPATH=src python3 -m pytest perfbench/tests -q
 
 # The scenario registry must enumerate and the paper-baseline scenario
 # must run end to end (CI runs the same two commands as a gate).

@@ -7,7 +7,7 @@ regression canaries for the substrate's performance.
 
 import numpy as np
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Resource
 from repro.trace import SynthesisConfig, TraceSynthesizer, all_inconsistencies
 
 
@@ -57,9 +57,10 @@ def test_engine_resource_contention(benchmark):
         completed = []
 
         def worker(env, i):
-            with resource.request() as grant:
-                yield grant
-                yield env.timeout(1)
+            grant = resource.request()
+            yield grant
+            yield env.timeout(1)
+            resource.release_fast(grant)
             completed.append(i)
 
         for i in range(2_000):
@@ -68,31 +69,6 @@ def test_engine_resource_contention(benchmark):
         return len(completed)
 
     assert benchmark(run) == 2_000
-
-
-def test_engine_store_pipeline(benchmark):
-    """Producer/consumer pipeline moving 10k items."""
-
-    def run():
-        env = Environment()
-        store = Store(env, capacity=64)
-        moved = []
-
-        def producer(env):
-            for i in range(10_000):
-                yield store.put(i)
-
-        def consumer(env):
-            for _ in range(10_000):
-                item = yield store.get()
-                moved.append(item)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        return len(moved)
-
-    assert benchmark(run) == 10_000
 
 
 def test_trace_synthesis_throughput(benchmark):
@@ -123,10 +99,11 @@ def test_trace_analysis_throughput(benchmark):
 
 
 #: Kernel events of the transport storm and of the CI-scale deployment,
-#: measured when the fast paths became the only paths.  Event counts are
-#: deterministic, so these are exact ceilings: tighten them when a change
-#: saves events, never loosen them.
-MAX_STORM_EVENTS = 7262
+#: measured when the fast paths became the only paths (the storm's
+#: ceiling dropped again when consumer-less nodes stopped queueing their
+#: deliveries).  Event counts are deterministic, so these are exact
+#: ceilings: tighten them when a change saves events, never loosen them.
+MAX_STORM_EVENTS = 4862
 MAX_CI_DEPLOYMENT_EVENTS = 69941
 
 

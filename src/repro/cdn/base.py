@@ -104,9 +104,9 @@ class Actor:
             return response
         # The timer wheel succeeds the waiter with ``None`` at exactly
         # ``now + timeout`` unless the response (always a Message, never
-        # None) wins the race.  No Timeout or Condition allocation, no
-        # explicit cancel -- a won race leaves a lazily-skipped slot in
-        # the wheel.
+        # None) wins the race.  No per-wait Timeout allocation, no
+        # explicit cancel -- a won race leaves a slot the wheel's lane
+        # prunes lazily.
         self.env.timers.arm(timeout, waiter)
         response = yield waiter
         if response is not None:

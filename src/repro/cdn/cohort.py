@@ -394,13 +394,6 @@ class UserCohort:
     def total_failed_visits(self) -> int:
         return int(sum(self._failed))
 
-    def total_observations(self) -> int:
-        if self.aggregate is not None:
-            return int(sum(self.aggregate._total))
-        observations = self._observations
-        assert observations is not None
-        return sum(len(slot_obs) for slot_obs in observations)
-
 
 class _CohortUserView:
     """Read-mostly handle on one cohort slot.

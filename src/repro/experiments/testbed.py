@@ -16,7 +16,6 @@ Two entry points:
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
@@ -376,24 +375,11 @@ class _Placement:
     path_cache: Dict
 
 
-#: Memoized placements, LRU-ordered (most recently used last).  The
-#: capacity is env-tunable: sweeps cycling through more shapes than the
-#: default (e.g. a wide Fig. 20x size axis crossed with many population
-#: shards) would otherwise thrash; ``REPRO_PLACEMENT_CACHE=0`` disables
-#: caching entirely.  Read at each insertion, so tests can retune it.
+#: Memoized placements, LRU-ordered (most recently used last), at most
+#: ``_PLACEMENT_CACHE_MAX`` of them.  The capacity is read at each
+#: insertion, so tests can retune it.
 _PLACEMENT_CACHE: "OrderedDict[tuple, _Placement]" = OrderedDict()
 _PLACEMENT_CACHE_MAX = 32
-PLACEMENT_CACHE_ENV = "REPRO_PLACEMENT_CACHE"
-
-
-def _placement_cache_max() -> int:
-    raw = os.environ.get(PLACEMENT_CACHE_ENV, "")
-    if not raw:
-        return _PLACEMENT_CACHE_MAX
-    try:
-        return int(raw)
-    except ValueError:
-        return _PLACEMENT_CACHE_MAX
 
 
 def _snapshot_node(node: NetworkNode) -> _NodeSpec:
@@ -453,13 +439,10 @@ def _placed_topology(env: Environment, streams: StreamRegistry, config: TestbedC
             ),
             path_cache={},
         )
-        max_entries = _placement_cache_max()
-        if max_entries <= 0:
-            return topology, placement.path_cache
         # Value-pure memoization: the placement is a pure function of the
         # full config key, so cache state can never change what a shard
         # computes -- only how fast (see RNG-stream note below).
-        while len(_PLACEMENT_CACHE) >= max_entries:
+        while len(_PLACEMENT_CACHE) >= _PLACEMENT_CACHE_MAX:
             _PLACEMENT_CACHE.popitem(last=False)  # repro: noqa REP010 -- value-pure memoization keyed by full config
         _PLACEMENT_CACHE[key] = placement  # repro: noqa REP010 -- value-pure memoization keyed by full config
         return topology, placement.path_cache

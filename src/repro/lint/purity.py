@@ -8,9 +8,8 @@ what makes the transport-equivalence and determinism tests meaningful.
 That holds only if no code reachable from ``repro.obs`` ever
 
 - schedules kernel events (``Environment.schedule`` / ``process`` /
-  ``timeout`` / ``pooled_timeout`` / ``all_of`` / ``any_of``, or
-  triggering events via ``succeed`` / ``fail`` / ``trigger`` /
-  ``interrupt``), or
+  ``timeout`` / ``pooled_timeout``, or triggering events via
+  ``succeed`` / ``fail`` / ``trigger`` / ``interrupt``), or
 - draws randomness (``RandomStream`` draw methods or the ``random``
   module).
 
@@ -46,8 +45,6 @@ _SCHEDULING_CALLS = frozenset(
         "process",
         "timeout",
         "pooled_timeout",
-        "all_of",
-        "any_of",
         "succeed",
         "fail",
         "trigger",

@@ -36,18 +36,11 @@ SLOTS_MANIFEST: Dict[str, Dict[str, str]] = {
     },
     "repro/sim/process.py": {
         "Process": "allocated per actor loop and per waiting server task",
-        "Condition": "allocated per all_of/any_of wait",
-        "AllOf": "condition subclass",
-        "AnyOf": "condition subclass",
         "_Initialize": "allocated per process start",
         "_Interruption": "allocated per interrupt",
     },
     "repro/sim/resources.py": {
         "Request": "allocated per contended port claim",
-        "Release": "allocated per resource release outside the transport",
-        "StorePut": "allocated per delivery to a consumer-less node",
-        "StoreGet": "allocated per inbox read",
-        "PriorityItem": "allocated per prioritised item",
     },
     "repro/network/link.py": {
         "_FastTransfer": "one per in-flight message (pooled)",

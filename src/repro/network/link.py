@@ -18,8 +18,7 @@ Each message travels as a slotted, callback-driven state machine
 (:class:`_FastTransfer`) that chains raw kernel events directly --
 queue -> transmit -> propagate -> deliver -- reusing one hop event per
 message and claiming an uncontended output port synchronously, with no
-generator frame, no ``Process`` and no ``Request``/``Release``
-round-trip.
+generator frame, no ``Process`` and no ``Request`` grant event.
 
 Invariant: jitter and ISP draws happen at the instant the bytes leave
 the sender, in send order, and every ledger, counter and tracer record
@@ -298,9 +297,7 @@ class _FastTransfer:
         The counter increment and ``msg_recv`` trace run *before* the
         handoff: with a consumer attached the receiving
         actor's handler runs synchronously inside ``deliver()``, and its
-        own traces must follow the ``msg_recv`` that caused them.  The
-        reorder is bit-safe for store delivery too -- neither counters
-        nor ``tracer.emit`` touch the event queue.
+        own traces must follow the ``msg_recv`` that caused them.
         """
         message = self.message
         dst: NetworkNode = message.dst
@@ -386,8 +383,8 @@ class NetworkFabric:
     def send(self, message: Message) -> Event:
         """Send *message*; the returned event fires at delivery time.
 
-        The event's value is ``True`` if the message reached the
-        receiver's inbox and ``False`` if it was dropped (receiver down).
+        The event's value is ``True`` if the message was delivered to the
+        receiver and ``False`` if it was dropped (receiver down).
         A down *sender* drops the message immediately.
         """
         message.created_at = self.env.now

@@ -90,8 +90,8 @@ class Message:
     """A single message in flight.
 
     ``version`` is the content-snapshot index the message refers to
-    (``None`` for DNS / maintenance messages).  ``payload`` carries
-    protocol-specific extras (e.g. the poller's reply inbox).
+    (``None`` for maintenance messages).  ``payload`` carries
+    protocol-specific extras.
     """
 
     kind: MessageKind

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from ..sim.engine import Environment
-from ..sim.resources import Resource, Store
+from ..sim.resources import Resource
 from .geo import GeoPoint
 from .isp import ISP
 
@@ -52,11 +52,8 @@ class NetworkNode:
         self.city_name = city_name
         #: Output port: transmissions leaving this node serialise here.
         self.output_port = Resource(env, capacity=1)
-        self._inbox: Optional[Store] = None
-        #: Direct dispatch: when an actor registers a
-        #: consumer, :meth:`deliver` calls it synchronously at delivery
-        #: time instead of round-tripping through the inbox store (which
-        #: costs a ``StorePut`` + ``StoreGet`` heap pop per message).
+        #: Direct dispatch: the registered consumer is called
+        #: synchronously at delivery time (see :meth:`deliver`).
         self.consumer: Optional[Callable[[Any], None]] = None
         #: Number of currently active absences.  The node is up only
         #: while this is zero, so overlapping failure-injection windows
@@ -70,19 +67,6 @@ class NetworkNode:
 
     def __repr__(self) -> str:
         return "NetworkNode(%s @ %s)" % (self.node_id, self.city_name or self.point)
-
-    @property
-    def inbox(self) -> Store:
-        """Inbox: the fabric delivers received messages into this store.
-
-        Built lazily -- nodes with a registered consumer
-        never touch it, which matters when the cohort plane attaches a
-        million user nodes (``Store`` construction has no side effects
-        on the environment, so laziness is unobservable)."""
-        store = self._inbox
-        if store is None:
-            store = self._inbox = Store(self.env)
-        return store
 
     # ------------------------------------------------------------------
     # up/down state (failure injection, Section 3.4.5)
@@ -137,14 +121,14 @@ class NetworkNode:
             tracer.emit(now, "node_up" if up else "node_down", self.node_id)
 
     def deliver(self, message: Any) -> None:
-        """Hand a delivered *message* to the registered consumer, or the
-        inbox store when no consumer is attached (bare nodes in
-        transport tests)."""
+        """Hand a delivered *message* to the registered consumer.
+
+        A node with no consumer (a bare node in transport tests)
+        discards it: the fabric has already counted and traced the
+        delivery."""
         consumer = self.consumer
         if consumer is not None:
             consumer(message)
-        else:
-            self.inbox.put(message)
 
     def downtime_s(self, now: Optional[float] = None) -> float:
         """Total seconds spent down, including any open absence."""

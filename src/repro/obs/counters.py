@@ -50,7 +50,7 @@ class FabricCounters:
     def __init__(self) -> None:
         #: Messages whose bytes left the sender (matches the ledger).
         self.messages_sent = 0
-        #: Messages that reached the receiver's inbox.
+        #: Messages delivered to an up receiver.
         self.messages_delivered = 0
         self.dropped_sender_down = 0
         self.dropped_receiver_down = 0

@@ -28,7 +28,7 @@ __all__ = ["TraceEvent", "Tracer", "RecordingTracer", "NULL_TRACER", "EVENT_KIND
 EVENT_KINDS = {
     # network fabric
     "msg_send": "bytes left the sender (reconciles 1:1 with the TrafficLedger)",
-    "msg_recv": "message delivered into the receiver's inbox",
+    "msg_recv": "message delivered to the receiver",
     "msg_drop": "message dropped (detail.reason: sender_down / receiver_down)",
     "msg_timeout": "a request's reply window elapsed without a response",
     # node lifecycle (failure injection)

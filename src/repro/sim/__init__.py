@@ -15,8 +15,8 @@ from .engine import (
     Timeout,
     URGENT,
 )
-from .process import AllOf, AnyOf, Condition, ConditionValue, Interrupt, Process
-from .resources import PriorityItem, PriorityStore, Release, Request, Resource, Store
+from .process import Interrupt, Process
+from .resources import Request, Resource
 from .rng import RandomStream, StreamRegistry, derive_seed
 from .simtime import TIME_EPS_S, is_zero_duration, times_close, times_equal
 
@@ -26,16 +26,8 @@ __all__ = [
     "Timeout",
     "Process",
     "Interrupt",
-    "Condition",
-    "ConditionValue",
-    "AllOf",
-    "AnyOf",
     "Resource",
     "Request",
-    "Release",
-    "Store",
-    "PriorityStore",
-    "PriorityItem",
     "RandomStream",
     "StreamRegistry",
     "derive_seed",

@@ -21,7 +21,6 @@ from typing import (
     Any,
     Callable,
     Generator,
-    Iterable,
     List,
     Optional,
     Tuple,
@@ -59,7 +58,7 @@ class SimulationError(Exception):
 
 
 class EmptySchedule(SimulationError):
-    """Raised by :meth:`Environment.step` when no more events exist."""
+    """Raised inside :meth:`Environment.run` when no more events exist."""
 
 
 class StopSimulation(Exception):
@@ -137,15 +136,6 @@ class Event:
     def defused(self, value: bool) -> None:
         self._defused = bool(value)
 
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state of another *event*.
-
-        Used as a callback to chain events together.
-        """
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     def succeed(self, value: Any = None) -> "Event":
         """Schedule the event as successful with an optional *value*."""
         if self.triggered:
@@ -165,16 +155,6 @@ class Event:
         self._value = exception
         self.env.schedule(self)
         return self
-
-    def __and__(self, other: "Event") -> "Event":
-        from .process import AllOf
-
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other: "Event") -> "Event":
-        from .process import AnyOf
-
-        return AnyOf(self.env, [self, other])
 
 
 class Timeout(Event):
@@ -342,32 +322,6 @@ class Environment:
                 (at, priority, sanitizer.tie_key(at, priority, self._eid), event),
             )
 
-    def step(
-        self, _pop: Callable[[List[_QueueEntry]], _QueueEntry] = _heappop
-    ) -> None:
-        """Process the next scheduled event.
-
-        Raises :class:`EmptySchedule` when the queue is empty and
-        re-raises the exception of any failed, un-defused event.
-        """
-        try:
-            self._now, _, _, event = _pop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
-
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks is None:  # pragma: no cover - cancelled event
-            return
-        self._events_processed += 1
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            exc = event._value
-            raise exc
-        if event.__class__ is _PooledTimeout:
-            self._timeout_pool.append(event)
-
     def run(self, until: Union[None, float, Event] = None) -> Any:
         """Run the simulation.
 
@@ -408,9 +362,8 @@ class Environment:
         stride_mask = self.PROGRESS_STRIDE - 1
         try:
             with TELEMETRY.span("engine.run"):
-                # :meth:`step` inlined: one method call per event is the
-                # largest fixed cost of the hot loop at CDN scale.  Any
-                # behavioural change here must be mirrored in ``step``.
+                # The event step is inlined: one method call per event is
+                # the largest fixed cost of the hot loop at CDN scale.
                 # Two copies of the loop: the second adds the live
                 # progress hook (one masked compare per event) and is
                 # taken only when a hook is installed, so the default
@@ -477,9 +430,8 @@ class Environment:
         event ordering, same sequence-number allocation -- but processed
         instances are reused, sparing one allocation per firing on hot
         sleep loops.  Contract: the caller must ``yield`` the timeout
-        immediately and must not retain a reference past its firing, nor
-        combine it into :meth:`all_of` / :meth:`any_of` conditions (the
-        recycled object would be mutated under the condition).
+        immediately and must not retain a reference past its firing (the
+        recycled object would be mutated under any other holder).
         """
         pool = self._timeout_pool
         if not pool:
@@ -500,15 +452,3 @@ class Environment:
         from .process import Process
 
         return Process(self, generator)
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """Condition that succeeds once all *events* have succeeded."""
-        from .process import AllOf
-
-        return AllOf(self, list(events))
-
-    def any_of(self, events: Iterable[Event]) -> Event:
-        """Condition that succeeds once any of *events* has succeeded."""
-        from .process import AnyOf
-
-        return AnyOf(self, list(events))

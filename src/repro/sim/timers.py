@@ -1,40 +1,43 @@
-"""Batched timer wheel: one control event per sweep of expiring timers.
+"""Batched deadline lanes: one control event per sweep of expiring timers.
 
-One :class:`~repro.sim.engine.Timeout` plus one condition per timed
-wait would make every expiry its own heap pop, and at CDN scale the
-poll/request timers dominate the event queue, so the wheel batches
-them: waiters that share a *delay* (all ``30 s`` request
-timeouts, all ``ttl_s`` poll timers, ...) land in one *lane* -- a pair
-of parallel arrays (deadline floats aligned with waiter events).
+One :class:`~repro.sim.engine.Timeout` per timed wait would make every
+expiry its own heap pop, and at CDN scale the request timers dominate
+the event queue, so timers are batched: entries that share a *delay*
+(all ``30 s`` request timeouts, ...) land in one :class:`CallbackLane`
+-- a pair of parallel arrays (deadline floats aligned with payloads).
 Because every entry in a lane is armed with the same delay, deadlines
-are appended in non-decreasing order and a single binary search finds
-the expired prefix.  The arrays are plain Python lists swept with the C
+are appended in non-decreasing order (float rounding of ``now + delay``
+is monotone in ``now``) and a single binary search finds the expired
+prefix.  The arrays are plain Python lists swept with the C
 :func:`bisect.bisect_right`: at the typical batch size (one to a few
 hundred entries) that beats a numpy round-trip per sweep, while keeping
 the same sorted-array algorithm.
 
 Each lane owns exactly one reusable control :class:`Event` on the heap.
 It is scheduled (via :meth:`Environment.schedule_at`, to hit the exact
-float deadline) for the earliest pending deadline; when it pops, the sweep succeeds every expired waiter
-and re-arms the control event for the next deadline.  N timers cost one
-control pop per *batch* of identical deadlines instead of one pop per
-timer, and cancelled waiters (``callbacks is None`` or already
-triggered) are skipped lazily without ever touching the heap.
+float deadline) for the earliest pending deadline; when it pops, the
+sweep fires every expired slot and re-arms the control event for the
+next deadline.  N timers cost one control pop per *batch* of identical
+deadlines instead of one pop per timer, and dead slots (already
+answered) are skipped lazily without ever touching the heap.
 
-Invariant: a waiter armed at time ``t`` with delay ``d`` is succeeded
-at exactly ``t + d`` (the float ``env.timeout(d)`` would fire at), and
-waiters expiring at the same instant are succeeded in arming order.
-Waiter callbacks run through the heap (:meth:`Event.succeed`
-schedules), so user code can never push into a lane in the middle of
-its own sweep.  ``tests/test_sim_engine.py`` holds the unit contract;
-``tests/test_golden_digests.py`` pins the request and poll timeouts of
-whole deployments.
+Two clients share the one lane type: the user cohort batches its own
+request timeouts (payloads are request rows), and :class:`TimerWheel`
+keeps one lane per delay whose payloads are waiter events, succeeded
+with ``None`` on expiry unless they triggered first.
+
+Invariant: an entry armed at time ``t`` with delay ``d`` fires at
+exactly ``t + d`` (the float ``env.timeout(d)`` would fire at), and
+entries expiring at the same instant fire in arming order.
+``tests/test_sim_engine.py`` holds the unit contract;
+``tests/test_golden_digests.py`` pins the request timeouts of whole
+deployments.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List
 
 from .engine import Environment, Event
 
@@ -45,99 +48,19 @@ __all__ = ["TimerWheel", "CallbackLane"]
 _COMPACT_SLACK = 1024
 
 
-class _Lane:
-    """All pending timers sharing one delay value (parallel arrays)."""
-
-    __slots__ = ("env", "wheel", "deadlines", "waiters", "head", "control")
-
-    def __init__(self, env: Environment, wheel: "TimerWheel") -> None:
-        self.env = env
-        self.wheel = wheel
-        self.deadlines: List[float] = []
-        self.waiters: List[Optional[Event]] = []
-        self.head = 0
-        # The lane's one reusable control event.  Pre-triggered so the
-        # engine never sees _PENDING; idle iff ``callbacks is None``.
-        control = Event(env)
-        control._ok = True
-        control._value = None
-        control.callbacks = None
-        self.control = control
-
-    def push(self, deadline: float, waiter: Event) -> None:
-        self.deadlines.append(deadline)
-        self.waiters.append(waiter)
-        control = self.control
-        if control.callbacks is None:
-            # Lane was drained: arm the control event at this deadline.
-            control.callbacks = [self._sweep]
-            self.env.schedule_at(control, deadline)
-        # Otherwise the control event is already scheduled at an earlier
-        # (or equal) deadline: same-delay arming keeps lanes monotone.
-
-    def _sweep(self, _event: Event) -> None:
-        """Control-event callback: fire every expired waiter in order."""
-        deadlines = self.deadlines
-        waiters = self.waiters
-        head = self.head
-        tail = len(deadlines)
-        cut = bisect_right(deadlines, self.env._now, head, tail)
-        wheel = self.wheel
-        for index in range(head, cut):
-            waiter = waiters[index]
-            waiters[index] = None
-            if waiter is None or waiter.callbacks is None or waiter.triggered:
-                wheel.cancelled += 1  # lazily-cancelled: never hit the heap
-            else:
-                waiter.succeed(None)
-                wheel.expired += 1
-        wheel.sweeps += 1
-        # Prune already-dead waiters *beyond* the expired prefix before
-        # re-arming.  Request timeouts are normally answered long before
-        # they fire, so by the time one control pop comes due, nearly
-        # the whole lane is cancelled: skipping those slots here means
-        # the control event re-arms at the first *live* deadline (often
-        # none at all) instead of popping once per dead batch.
-        while cut < tail:
-            waiter = waiters[cut]
-            if waiter is not None and waiter.callbacks is not None and not waiter.triggered:
-                break
-            waiters[cut] = None
-            wheel.cancelled += 1
-            cut += 1
-        if cut < tail:
-            if cut >= _COMPACT_SLACK and cut * 2 >= tail:
-                # Mostly dead slots at the front: reclaim the memory.
-                del deadlines[:cut]
-                del waiters[:cut]
-                cut = 0
-            self.head = cut
-            control = self.control
-            control.callbacks = [self._sweep]
-            self.env.schedule_at(control, deadlines[cut])
-        else:
-            # Drained: reset so the backing lists restart from slot 0.
-            deadlines.clear()
-            waiters.clear()
-            self.head = 0
-
-
 class CallbackLane:
     """A monotone-deadline lane that fires ``on_expire(payload)`` per slot.
 
-    Same sweep mechanics as the wheel's internal ``_Lane`` -- parallel
-    arrays, a bisect-swept expired prefix, one reusable control event,
-    lazy cancellation with dead-slot pruning -- but payload-carrying and
-    callback-driven, for subsystems that batch their own timers (the
-    user cohort's request timeouts).  Deadlines must be pushed in
-    non-decreasing order (one lane per fixed delay gives this for
-    free); ``is_dead(payload)`` lets already-answered slots be pruned
-    without ever touching the heap.
+    Parallel arrays, a bisect-swept expired prefix, one reusable control
+    event, lazy cancellation with dead-slot pruning (see the module
+    docstring).  Deadlines must be pushed in non-decreasing order (one
+    lane per fixed delay gives this for free); ``is_dead(payload)`` lets
+    already-answered slots be pruned without ever touching the heap.
 
-    Unlike waiter lanes, ``on_expire`` runs *inside* the control-event
-    callback rather than through a per-slot heap event.  Slots expiring
-    at the same instant fire in arming order, the order their per-timer
-    events would have popped in.
+    ``on_expire`` runs *inside* the control-event callback rather than
+    through a per-slot heap event.  Slots expiring at the same instant
+    fire in arming order, the order their per-timer events would have
+    popped in.
     """
 
     __slots__ = (
@@ -157,6 +80,8 @@ class CallbackLane:
         self.deadlines: List[float] = []
         self.payloads: List[Any] = []
         self.head = 0
+        # The lane's one reusable control event.  Pre-triggered so the
+        # engine never sees _PENDING; idle iff ``callbacks is None``.
         control = Event(env)
         control._ok = True
         control._value = None
@@ -224,6 +149,12 @@ class CallbackLane:
         # ``on_expire`` may have pushed new slots: re-read the tail so
         # the re-arm/drain decision below sees them.
         tail = len(deadlines)
+        # Prune already-dead slots *beyond* the expired prefix before
+        # re-arming.  Request timeouts are normally answered long before
+        # they fire, so by the time one control pop comes due, nearly
+        # the whole lane is dead: skipping those slots here means the
+        # control event re-arms at the first *live* deadline (often
+        # none at all) instead of popping once per dead batch.
         while cut < tail:
             payload = payloads[cut]
             if payload is not None and not is_dead(payload):
@@ -233,6 +164,7 @@ class CallbackLane:
             cut += 1
         if cut < tail:
             if cut >= _COMPACT_SLACK and cut * 2 >= tail:
+                # Mostly dead slots at the front: reclaim the memory.
                 del deadlines[:cut]
                 del payloads[:cut]
                 cut = 0
@@ -241,6 +173,7 @@ class CallbackLane:
             control.callbacks = [self._sweep]
             self.env.schedule_at(control, deadlines[cut])
         else:
+            # Drained: reset so the backing lists restart from slot 0.
             deadlines.clear()
             payloads.clear()
             self.head = 0
@@ -250,20 +183,24 @@ class CallbackLane:
         return len(self.deadlines) - self.head
 
 
-class TimerWheel:
-    """Per-environment registry of delay lanes (see module docstring)."""
+def _succeed_waiter(waiter: Event) -> None:
+    waiter.succeed(None)
 
-    __slots__ = ("env", "_lanes", "armed", "expired", "cancelled", "sweeps")
+
+def _waiter_answered(waiter: Event) -> bool:
+    return waiter.callbacks is None or waiter.triggered
+
+
+class TimerWheel:
+    """Per-environment registry of waiter lanes, one per delay value."""
+
+    __slots__ = ("env", "_lanes", "armed")
 
     def __init__(self, env: Environment) -> None:
         self.env = env
-        self._lanes: Dict[float, _Lane] = {}
-        #: Stats (for tests / docs): timers armed, fired, lazily dropped,
-        #: and control-event sweeps executed.
+        self._lanes: Dict[float, CallbackLane] = {}
+        #: Timers armed (for tests / docs); see also the lane sums below.
         self.armed = 0
-        self.expired = 0
-        self.cancelled = 0
-        self.sweeps = 0
 
     def arm(self, delay: float, waiter: Event) -> None:
         """Succeed *waiter* with ``None`` after *delay* unless it triggers
@@ -279,13 +216,30 @@ class TimerWheel:
         env = self.env
         lane = self._lanes.get(delay)
         if lane is None:
-            lane = self._lanes[delay] = _Lane(env, self)
+            lane = self._lanes[delay] = CallbackLane(
+                env, _succeed_waiter, _waiter_answered
+            )
         # Same float arithmetic as ``Timeout``: now + delay.
         lane.push(env._now + delay, waiter)
         self.armed += 1
 
     @property
+    def expired(self) -> int:
+        """Waiters succeeded by a sweep."""
+        return sum(lane.expired for lane in self._lanes.values())
+
+    @property
+    def cancelled(self) -> int:
+        """Slots skipped because their waiter was already answered."""
+        return sum(lane.cancelled for lane in self._lanes.values())
+
+    @property
+    def sweeps(self) -> int:
+        """Control-event sweeps executed."""
+        return sum(lane.sweeps for lane in self._lanes.values())
+
+    @property
     def pending(self) -> int:
         """Number of timer slots currently queued across all lanes
         (including lazily-cancelled waiters not yet swept)."""
-        return sum(len(lane.deadlines) - lane.head for lane in self._lanes.values())
+        return sum(lane.pending for lane in self._lanes.values())

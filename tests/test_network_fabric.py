@@ -84,19 +84,17 @@ class TestFabric:
         fabric = NetworkFabric(env, streams=streams)
         message = Message(MessageKind.PUSH_UPDATE, provider, servers[0], 2.0, version=1)
         results = []
+        received = []
+        servers[0].consumer = received.append
 
         def sender(env):
             delivered = yield fabric.send(message)
             results.append(delivered)
 
-        def receiver(env):
-            received = yield servers[0].inbox.get()
-            results.append(received.version)
-
         env.process(sender(env))
-        env.process(receiver(env))
         env.run()
-        assert True in results and 1 in results
+        assert results == [True]
+        assert [m.version for m in received] == [1]
         totals = fabric.ledger.kind_totals(MessageKind.PUSH_UPDATE)
         assert totals.count == 1
         assert totals.kb == pytest.approx(2.0)
@@ -122,6 +120,8 @@ class TestFabric:
         fabric = NetworkFabric(env, streams=streams)
         servers[0].is_up = False
         outcome = []
+        received = []
+        servers[0].consumer = received.append
 
         def sender(env):
             delivered = yield fabric.send(
@@ -133,7 +133,7 @@ class TestFabric:
         env.run()
         assert outcome == [False]
         assert fabric.dropped == 1
-        assert len(servers[0].inbox) == 0
+        assert received == []
 
     def test_down_sender_drops_without_traffic(self):
         env = Environment()
@@ -168,13 +168,9 @@ class TestFabric:
             return
             yield  # pragma: no cover
 
-        def receiver(env, server):
-            yield server.inbox.get()
-            arrival_times.append(env.now)
-
-        env.process(sender(env))
         for server in servers:
-            env.process(receiver(env, server))
+            server.consumer = lambda message: arrival_times.append(env.now)
+        env.process(sender(env))
         env.run()
         arrival_times.sort()
         # The k-th message cannot leave before k seconds of transmission.
@@ -224,17 +220,17 @@ class TestTransferPorts:
 
 
     def test_uncontended_port_skips_grant_events(self):
-        """Distinct senders never touch the Request/Release machinery."""
+        """Distinct senders never touch the Request grant machinery."""
         env, topology, fabric = self._make_fabric(7)
         for server in topology.servers:
             fabric.send(Message(MessageKind.POLL, server, topology.provider, 1.0))
         env.run()
-        # 4 messages, uncontended: transmit hop + deliver hop + inbox
-        # StorePut = 3 events each (the done event completes lazily because
-        # nobody registered a callback on it, and the transfer starts
-        # synchronously inside send()).
+        # 4 messages, uncontended: transmit hop + deliver hop = 2 events
+        # each (the done event completes lazily because nobody registered
+        # a callback on it, the transfer starts synchronously inside
+        # send(), and a consumer-less node discards the delivery).
         assert fabric.counters.messages_delivered == 4
-        assert env.events_processed == 12
+        assert env.events_processed == 8
         for server in topology.servers:
             assert server.output_port.users == []
             assert server.output_port.queue_length == 0
@@ -247,15 +243,13 @@ class TestTransferPorts:
         size_kb = provider.uplink_kbps  # 1 s of pure transmission each
         order = []
 
-        def receiver(env, index, server):
-            message = yield server.inbox.get()
-            order.append((index, message.version))
-
         for index, server in enumerate(topology.servers):
+            server.consumer = lambda message, index=index: order.append(
+                (index, message.version)
+            )
             fabric.send(
                 Message(MessageKind.PUSH_UPDATE, provider, server, size_kb, version=index)
             )
-            env.process(receiver(env, index, server))
         env.run()
         assert [version for _, version in sorted(order)] == [0, 1, 2, 3]
         # Transmissions serialised: total sender-side time covers 4 back-to-

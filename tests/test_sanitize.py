@@ -8,14 +8,18 @@ CI-scale proof lives in ``make sanitize-smoke``.
 from __future__ import annotations
 
 import io
+import os
 import unittest
+from unittest import mock
 
+from repro.cdn.server import schedule_absence
 from repro.experiments.config import TestbedConfig
 from repro.experiments.sanitize import (
     build_parser,
     run as run_driver,
     sanitize_cell,
 )
+from repro.experiments.testbed import build_deployment
 from repro.sim.engine import NORMAL, URGENT, Environment
 from repro.sim.sanitize import (
     SANITIZE_ENV,
@@ -320,6 +324,31 @@ class TestSanitizeCell(_TinyCells):
         )
         self.assertEqual(report.cell, "push")
         self.assertTrue(report.ok)
+
+
+class TestWheelLaneTraps(_TinyCells):
+    """The timer wheel's waiter lanes are CallbackLanes, so traps run on
+    every request timeout a deployment fires."""
+
+    def _ttl_run_with_provider_outage(self, environ):
+        with mock.patch.dict(os.environ, environ):
+            deployment = build_deployment(self.CONFIG, "ttl")
+        # Polls sent while the provider is down time out on the wheel.
+        schedule_absence(deployment.env, deployment.provider.node, 60.0, 60.0)
+        metrics = deployment.run().to_dict()
+        return deployment.env, metrics
+
+    def test_ttl_deployment_completes_under_traps(self):
+        env, metrics = self._ttl_run_with_provider_outage(
+            {SANITIZE_ENV: "1", SANITIZE_TIES_ENV: ""}
+        )
+        self.assertTrue(env.sanitizer is not None and env.sanitizer.traps)
+        self.assertGreater(env.timers.expired, 0)
+        plain_env, plain = self._ttl_run_with_provider_outage(
+            {SANITIZE_ENV: "", SANITIZE_TIES_ENV: ""}
+        )
+        self.assertIsNone(plain_env.sanitizer)
+        self.assertEqual(metrics, plain)
 
 
 class TestDriverCli(_TinyCells):

