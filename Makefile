@@ -7,7 +7,7 @@ PYTEST := PYTHONPATH=src python -m pytest
 	test bench bench-claims bench-engine bench-section4 bench-user-plane \
 	bench-all \
 	report trace-demo scenario-smoke scale-smoke planet-scale \
-	sanitize-smoke analyze-smoke perfbench-check
+	sanitize-smoke analyze-smoke perfbench-check golden-check
 
 # Aggregate static-analysis gate.  lint-ruff and typecheck no-op with a
 # notice when ruff/mypy are not installed (offline containers); CI
@@ -39,6 +39,12 @@ smoke: lint
 
 test:
 	$(PYTEST) -q tests/
+
+# Simulated outcomes pinned cell by cell against
+# tests/fixtures/golden_digests.json (metrics, fabric counters, trace
+# digests).  A refactor must leave it green with the fixture untouched.
+golden-check:
+	$(PYTEST) -q tests/test_golden_digests.py
 
 # Schedule sanitizer: for every default method x infrastructure cell,
 # perturb same-instant NORMAL-priority tie-breaking under a dedicated

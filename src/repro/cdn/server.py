@@ -15,40 +15,12 @@ from ..network.link import NetworkFabric
 from ..network.message import Message, MessageKind
 from ..network.node import NetworkNode
 from ..sim.engine import Environment, Event
+from ..sim.process import Process
 from .base import Actor, UpdateSourceMixin
 from .cache import TTLCache
 from .content import LiveContent
 
 __all__ = ["ServerActor", "schedule_absence"]
-
-
-def _task_driver(
-    generator: Generator[Event, Any, Any], first: Event
-) -> Generator[Event, Any, None]:
-    """Drive *generator* (whose first yielded event is *first*) as a
-    process, proxying both resume values and thrown exceptions.
-
-    Used by :meth:`ServerActor._start_task`: the task
-    body already ran up to its first ``yield``, so a plain ``yield from``
-    would re-run it.  Exceptions are forwarded with ``throw`` so
-    ``try``/``finally`` blocks inside the task (e.g. the invalidation
-    policy's in-flight bookkeeping) behave exactly as under
-    ``env.process(generator)``.
-    """
-    event = first
-    while True:
-        try:
-            value = yield event
-        except BaseException as exc:  # noqa: BLE001 - full proxy semantics
-            try:
-                event = generator.throw(exc)
-            except StopIteration:
-                return
-        else:
-            try:
-                event = generator.send(value)
-            except StopIteration:
-                return
 
 
 class ServerActor(Actor, UpdateSourceMixin):
@@ -166,13 +138,14 @@ class ServerActor(Actor, UpdateSourceMixin):
         The body runs synchronously up to its first ``yield`` -- the
         common eager-TTL / push / fresh-invalidation case completes
         without yielding at all, costing **zero** kernel events -- and
-        only tasks that actually wait get a driver process.
+        only tasks that actually wait become a process, which adopts
+        the started generator.
         """
         try:
             first = next(generator)
         except StopIteration:
             return
-        self.env.process(_task_driver(generator, first))
+        Process(self.env, generator, first)
 
     # ------------------------------------------------------------------
     def handle(self, message: Message) -> None:

@@ -35,7 +35,6 @@ from ..consistency.registry import (
 from ..core.hat import HatConfig, HatSystem
 from ..metrics.incremental import ServerLagTracker, aggregate_user_rollup
 from ..metrics.timeseries import StalenessSeries, StalenessSeriesCache
-from ..metrics.traffic import TrafficLedger
 from ..network.link import NetworkFabric
 from ..network.message import reset_seq
 from ..network.node import NetworkNode
@@ -330,7 +329,7 @@ class Deployment:
             isp_penalty_s=counters.isp_penalty_s,
             propagation_s=counters.propagation_s,
             queueing_s=counters.queueing_s,
-            link_bytes_kb=dict(counters.link_bytes_kb),
+            link_bytes_kb=counters.link_bytes_kb,
             node_downtime_s=sum(
                 node.downtime_s(horizon) for node in self._all_nodes()
             ),
@@ -489,9 +488,7 @@ def _base(config: TestbedConfig, tracer: Optional[Tracer] = None, cell=None):
     env = Environment(tracer=tracer)
     streams = StreamRegistry(config.seed)
     topology, path_cache = _placed_topology(env, streams, config)
-    fabric = NetworkFabric(
-        env, ledger=TrafficLedger(), streams=streams, path_cache=path_cache
-    )
+    fabric = NetworkFabric(env, streams=streams, path_cache=path_cache)
     if cell is not None:
         content = cell.content_factory(config, streams)
     else:

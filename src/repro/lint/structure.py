@@ -55,6 +55,9 @@ SLOTS_MANIFEST: Dict[str, Dict[str, str]] = {
     "repro/obs/counters.py": {
         "FabricCounters": "incremented inline on the message path",
     },
+    "repro/metrics/traffic.py": {
+        "LinkTotals": "one per directed link, updated per message",
+    },
     "repro/sim/timers.py": {
         "CallbackLane": "swept per expiring deadline batch",
     },

@@ -10,9 +10,17 @@ Every message experiences
 4. an *inter-ISP penalty* when the message crosses ISP boundaries
    (Section 3.4.3 of the paper).
 
-The fabric also feeds every delivered message into a
-:class:`~repro.metrics.traffic.TrafficLedger` so experiments can report
-traffic cost (km*KB), message counts, and network load (km).
+Transport is one-way: :meth:`NetworkFabric.send` returns nothing, and
+a message's outcome is seen only where it lands -- the receiver's
+``consumer`` hook on delivery, the :class:`FabricCounters` and the
+``msg_recv`` / ``msg_drop`` trace events either way.
+
+Every message whose bytes leave the sender is written once into the
+fabric's :class:`~repro.metrics.traffic.TrafficLedger` (per-kind cost,
+counts and load, per-link KB and counts, all-traffic totals), so
+experiments can report traffic cost (km*KB), message counts, and
+network load (km).  :class:`FabricCounters` keeps what happens after
+that: queueing, propagation and ISP time, deliveries and drops.
 
 Each message travels as a slotted, callback-driven state machine
 (:class:`_FastTransfer`) that chains raw kernel events directly --
@@ -86,16 +94,15 @@ class _FastTransfer:
 
     One reusable ``hop`` event carries the transfer through
     transmit-done -> deliver (reset and rescheduled between stages
-    instead of allocating a new ``Timeout`` per stage); ``done`` is the
-    completion event handed back to the caller, firing with
-    ``True``/``False`` at delivery (or drop) time.
+    instead of allocating a new ``Timeout`` per stage); the transfer
+    goes back to the fabric's pool once the message is delivered or
+    dropped.
     """
 
     __slots__ = (
         "fabric",
         "env",
         "message",
-        "done",
         "hop",
         "entered_port",
         "claim",
@@ -143,27 +150,6 @@ class _FastTransfer:
         self._jitter = fabric._jitter_stream.jitter
         self._isp_uniform = fabric._isp_stream.uniform
 
-    def _launch(self, message: Message) -> Event:
-        """Arm this (new or recycled) transfer for *message*.
-
-        The start stage -- sender up-check and port claim -- runs
-        synchronously inside ``send()``: both read state that only the
-        current callback cascade could change, so no start event is
-        needed.
-        """
-        self.message: Message = message
-        done = Event(self.env)
-        self.done: Event = done
-        src: NetworkNode = message.src
-        if not src.is_up:
-            # ``sync``: the caller has not seen ``done`` yet, so it can't
-            # have registered interest -- completing through the heap
-            # keeps post-send callback attachment working.
-            self._drop(src.node_id, "sender_down", "dropped_sender_down", sync=True)
-            return done
-        self._claim_port(src, message)
-        return done
-
     # ------------------------------------------------------------------
     def _next_hop(self, callbacks: List[Callable[[Event], None]], delay: float) -> None:
         """Re-arm the (already processed) hop event for the next stage.
@@ -181,49 +167,27 @@ class _FastTransfer:
         env._eid += 1
         _heappush(env._queue, (env._now + delay, NORMAL, env._eid, hop))
 
-    def _finish(self, delivered: bool, sync: bool = False) -> None:
-        """Trigger ``done`` with the delivery outcome."""
-        done = self.done
-        done._ok = True
-        done._value = delivered
-        if done.callbacks or sync:
-            self.env.schedule(done)
-        else:
-            # Nobody registered interest by delivery time: mark the
-            # event processed without a kernel round-trip.  A later
-            # ``yield done`` resumes immediately, as yielding any
-            # long-processed event does.
-            done.callbacks = None
-        # The transfer (and its internal hop event) is now idle; hand it
-        # back to the fabric for the next send().  ``done`` stays with
-        # the caller and is never recycled.  Unbinding (rather than
-        # None-ing) the slots drops the references while pooled without
-        # widening the attribute types to Optional.
+    def _release(self) -> None:
+        """Hand this idle transfer (and its hop event) back to the pool.
+
+        Unbinding (rather than None-ing) ``message`` drops the reference
+        while pooled without widening the attribute type to Optional.
+        """
         del self.message
         self.claim = None
-        del self.done
         self.fabric._transfer_pool.append(self)
-
-    def _drop(
-        self, node_id: str, reason: str, counter_attr: str, sync: bool = False
-    ) -> None:
-        fabric = self.fabric
-        fabric.dropped += 1
-        counters = fabric.counters
-        setattr(counters, counter_attr, getattr(counters, counter_attr) + 1)
-        tracer = self.env.tracer
-        if tracer.enabled:
-            tracer.emit(
-                self.env.now, "msg_drop", node_id,
-                reason=reason, **self.message.trace_detail()
-            )
-        self._finish(False, sync=sync)
 
     # ------------------------------------------------------------------
     # stages
     # ------------------------------------------------------------------
     def _claim_port(self, src: NetworkNode, message: Message) -> None:
-        """Stage 1: queue on / claim the sender's output port."""
+        """Stage 1: queue on / claim the sender's output port.
+
+        Runs synchronously inside ``send()``: the port's state can only
+        change within the current callback cascade, so no start event is
+        needed.
+        """
+        self.message: Message = message
         self.entered_port = self.env.now
         port = src.output_port
         if port.try_claim(self):
@@ -264,12 +228,7 @@ class _FastTransfer:
         counters.queueing_s += env._now - self.entered_port
 
         distance, base, link_key, same_isp = self._path(src, dst)
-        size_kb = message.size_kb
-        self._record(message, distance)
-        counters.messages_sent += 1
-        counters.bytes_kb += size_kb
-        link_bytes = counters.link_bytes_kb
-        link_bytes[link_key] = link_bytes.get(link_key, 0.0) + size_kb
+        self._record(message, distance, link_key)
         tracer = env.tracer
         if tracer.enabled:
             tracer.emit(env.now, "msg_send", src.node_id, **message.trace_detail())
@@ -288,21 +247,25 @@ class _FastTransfer:
         if penalty > 0.0:
             counters.isp_penalty_s += penalty
             counters.isp_crossing_messages += 1
-            counters.isp_crossing_kb += size_kb
+            counters.isp_crossing_kb += message.size_kb
         self._next_hop(self._cb_deliver, propagation + penalty)
 
     def _deliver(self, _event: Event) -> None:
         """Stage 3: receiver check, accounting, then delivery.
 
-        The counter increment and ``msg_recv`` trace run *before* the
-        handoff: with a consumer attached the receiving
-        actor's handler runs synchronously inside ``deliver()``, and its
-        own traces must follow the ``msg_recv`` that caused them.
+        The transfer is back in the pool before the handoff, so a reply
+        sent from the receiver's handler can reuse it.  The counter
+        increment and ``msg_recv`` trace run *before* the handoff: with
+        a consumer attached the receiving actor's handler runs
+        synchronously inside ``deliver()``, and its own traces must
+        follow the ``msg_recv`` that caused them.
         """
         message = self.message
         dst: NetworkNode = message.dst
+        self._release()
         if not dst.is_up:
-            self._drop(dst.node_id, "receiver_down", "dropped_receiver_down")
+            self._counters.dropped_receiver_down += 1
+            self.fabric._trace_drop(message, dst.node_id, "receiver_down")
             return
         self._counters.messages_delivered += 1
         tracer = self.env.tracer
@@ -311,7 +274,6 @@ class _FastTransfer:
                 self.env.now, "msg_recv", dst.node_id, **message.trace_detail()
             )
         dst.deliver(message)
-        self._finish(True)
 
 
 class NetworkFabric:
@@ -320,21 +282,19 @@ class NetworkFabric:
     def __init__(
         self,
         env: Environment,
-        ledger: Optional[TrafficLedger] = None,
         params: Optional[FabricParams] = None,
         streams: Optional[StreamRegistry] = None,
         path_cache: Optional[Dict[Tuple[str, str], Tuple[float, float, str, bool]]] = None,
     ) -> None:
         self.env = env
-        self.ledger = ledger if ledger is not None else TrafficLedger()
+        #: The one record of what was sent (see :mod:`repro.metrics.traffic`).
+        self.ledger = TrafficLedger()
         self.params = params if params is not None else FabricParams()
         streams = streams if streams is not None else StreamRegistry(0)
         self._jitter_stream: RandomStream = streams.stream("fabric.jitter")
         self._isp_stream: RandomStream = streams.stream("fabric.isp")
-        #: Messages dropped because the receiver was down.
-        self.dropped = 0
         #: Always-on per-layer accounting (see :mod:`repro.obs.counters`).
-        self.counters = FabricCounters()
+        self.counters = FabricCounters(self.ledger)
         #: ``(src_id, dst_id) -> (distance_km, min_latency_s, link_key,
         #: same_isp)``.  Node positions, ISP homes, and fabric params are
         #: fixed for a run, so the trig, stretch arithmetic, and link-key
@@ -380,17 +340,30 @@ class NetworkFabric:
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
-    def send(self, message: Message) -> Event:
-        """Send *message*; the returned event fires at delivery time.
+    def send(self, message: Message) -> None:
+        """Send *message* one way; nothing is returned.
 
-        The event's value is ``True`` if the message was delivered to the
-        receiver and ``False`` if it was dropped (receiver down).
-        A down *sender* drops the message immediately.
+        The receiver's ``consumer`` gets the message at delivery time.
+        A down *sender* drops it at once (no traffic, no kernel event);
+        a receiver that is down when it arrives drops it then.  Both
+        drops are counted in :attr:`counters` and traced as ``msg_drop``.
         """
-        message.created_at = self.env.now
+        src: NetworkNode = message.src
+        if not src.is_up:
+            self.counters.dropped_sender_down += 1
+            self._trace_drop(message, src.node_id, "sender_down")
+            return
         pool = self._transfer_pool
         transfer = pool.pop() if pool else _FastTransfer(self)
-        return transfer._launch(message)
+        transfer._claim_port(src, message)
+
+    def _trace_drop(self, message: Message, node_id: str, reason: str) -> None:
+        tracer = self.env.tracer
+        if tracer.enabled:
+            tracer.emit(
+                self.env.now, "msg_drop", node_id,
+                reason=reason, **message.trace_detail()
+            )
 
     def rtt_s(self, a: NetworkNode, b: NetworkNode) -> float:
         """Deterministic round-trip latency estimate between two nodes."""

@@ -100,7 +100,6 @@ class Message:
     size_kb: float
     version: Optional[int] = None
     payload: Any = None
-    created_at: float = 0.0
     seq: int = field(default_factory=_next_seq)
 
     @property

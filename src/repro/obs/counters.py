@@ -8,7 +8,10 @@ independent of the (optional) tracer keeps
 :class:`~repro.experiments.testbed.DeploymentMetrics` bit-identical
 with tracing enabled or disabled.
 
-The counters deliberately measure the paper's cause layers:
+What was sent is recorded once, in the fabric's
+:class:`~repro.metrics.traffic.TrafficLedger` (``messages_sent``,
+``bytes_kb`` and ``link_bytes_kb`` read it); the counters own what
+happens after the bytes leave the sender, in the paper's cause layers:
 
 - ``queueing_s`` -- output-port wait + per-message overhead +
   transmission time at the sender (Section 3.4.4's provider-bandwidth
@@ -16,12 +19,12 @@ The counters deliberately measure the paper's cause layers:
 - ``propagation_s`` -- distance-driven one-way delay (Section 3.4.2);
 - ``isp_penalty_s`` / ``isp_crossing_*`` -- inter-ISP handoffs
   (Section 3.4.3);
-- drops by reason -- server absences (Section 3.4.5).
+- deliveries, and drops by reason -- server absences (Section 3.4.5).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Protocol, Sequence, Tuple
 
 __all__ = ["FabricCounters", "staleness_histogram", "STALENESS_BIN_EDGES_S"]
 
@@ -30,31 +33,37 @@ __all__ = ["FabricCounters", "staleness_histogram", "STALENESS_BIN_EDGES_S"]
 STALENESS_BIN_EDGES_S = (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0)
 
 
+class SentTotals(Protocol):
+    """The :class:`~repro.metrics.traffic.TrafficLedger` as the counters
+    read it (structural, so observer code imports no model code)."""
+
+    messages: int
+    kb: float
+
+    def link_bytes_kb(self) -> Dict[str, float]: ...
+
+
 class FabricCounters:
     """Message-path totals for one simulation run."""
 
     __slots__ = (
-        "messages_sent",
+        "ledger",
         "messages_delivered",
         "dropped_sender_down",
         "dropped_receiver_down",
-        "bytes_kb",
         "isp_crossing_messages",
         "isp_crossing_kb",
         "isp_penalty_s",
         "propagation_s",
         "queueing_s",
-        "link_bytes_kb",
     )
 
-    def __init__(self) -> None:
-        #: Messages whose bytes left the sender (matches the ledger).
-        self.messages_sent = 0
+    def __init__(self, ledger: SentTotals) -> None:
+        self.ledger = ledger
         #: Messages delivered to an up receiver.
         self.messages_delivered = 0
         self.dropped_sender_down = 0
         self.dropped_receiver_down = 0
-        self.bytes_kb = 0.0
         #: Traffic that crossed an ISP boundary (Section 3.4.3).
         self.isp_crossing_messages = 0
         self.isp_crossing_kb = 0.0
@@ -64,10 +73,22 @@ class FabricCounters:
         self.propagation_s = 0.0
         #: Total sender-side time: port queueing + overhead + transmission.
         self.queueing_s = 0.0
-        #: KB per directed link, keyed ``"src->dst"``.
-        self.link_bytes_kb: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
+    @property
+    def messages_sent(self) -> int:
+        """Messages whose bytes left the sender."""
+        return self.ledger.messages
+
+    @property
+    def bytes_kb(self) -> float:
+        return self.ledger.kb
+
+    @property
+    def link_bytes_kb(self) -> Dict[str, float]:
+        """KB per directed link, keyed ``"src->dst"``."""
+        return self.ledger.link_bytes_kb()
+
     @property
     def dropped_messages(self) -> int:
         return self.dropped_sender_down + self.dropped_receiver_down

@@ -29,15 +29,18 @@ class Interrupt(Exception):
 
 
 class _Initialize(Event):
-    """Internal event that starts the execution of a new process."""
+    """Internal event that starts the execution of a new process (or,
+    for an adopted one, hooks it onto *first*, the event's value)."""
 
     __slots__ = ()
 
-    def __init__(self, env: Environment, process: "Process") -> None:
+    def __init__(
+        self, env: Environment, process: "Process", first: Optional[Event]
+    ) -> None:
         super().__init__(env)
-        self.callbacks = [process._resume]
+        self.callbacks = [process._resume if first is None else process._adopt]
         self._ok = True
-        self._value = None
+        self._value = first
         env.schedule(self, priority=URGENT)
 
 
@@ -76,16 +79,22 @@ class _Interruption(Event):
 
 class Process(Event):
     """A process wrapping a generator; it is also an event that fires
-    (with the generator's return value) when the generator terminates."""
+    (with the generator's return value) when the generator terminates.
+
+    Pass *first* to adopt a generator already run up to its first
+    ``yield``: the process then waits on *first*, the yielded event.
+    """
 
     __slots__ = ("_generator", "_target")
 
-    def __init__(self, env: Environment, generator: Generator) -> None:
+    def __init__(
+        self, env: Environment, generator: Generator, first: Optional[Event] = None
+    ) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise ValueError("%r is not a generator" % (generator,))
         super().__init__(env)
         self._generator = generator
-        self._target: Optional[Event] = _Initialize(env, self)
+        self._target: Optional[Event] = _Initialize(env, self, first)
 
     def __repr__(self) -> str:
         return "<Process(%s) object at 0x%x>" % (
@@ -106,6 +115,15 @@ class Process(Event):
     def interrupt(self, cause: Any = None) -> None:
         """Throw an :class:`Interrupt` (with *cause*) into the process."""
         _Interruption(self, cause)
+
+    def _adopt(self, init: Event) -> None:
+        """Start an adopted generator: wait on the event it first yielded."""
+        first: Event = init._value
+        if first.callbacks is not None:
+            first.callbacks.append(self._resume)
+            self._target = first
+        else:
+            self._resume(first)
 
     def _resume(self, event: Event) -> None:
         """Resume the generator with the state of *event*."""

@@ -166,14 +166,18 @@ def run_deployment_cell(method, infrastructure, seed, users, overrides=None,
 
 
 def run_storm_cell(seed=5):
-    """Fan-out traffic while the sender and one receiver flap down."""
+    """Fan-out traffic while the sender and one receiver flap down.
+
+    Transport is one-way, so each message's outcome is read from the
+    trace: ``True`` for a ``msg_recv``, ``False`` for a ``msg_drop``, in
+    the order the outcomes happened.
+    """
     reset_seq()
     env = Environment(tracer=RecordingTracer())
     streams = StreamRegistry(seed)
     topology = TopologyBuilder(env, streams).build(n_servers=4, users_per_server=0)
     fabric = NetworkFabric(env, streams=streams)
     provider = topology.provider
-    results = []
     # Receiver 0 is down for the whole middle of the run; the provider
     # itself drops out briefly, exercising the sender_down path.
     schedule_absence(env, topology.servers[0], start=2.0, duration=6.0)
@@ -182,18 +186,18 @@ def run_storm_cell(seed=5):
     def driver(env):
         for round_no in range(10):
             for server in topology.servers:
-                done = fabric.send(
+                fabric.send(
                     Message(MessageKind.PUSH_UPDATE, provider, server, 4.0,
                             version=round_no)
                 )
-                done.callbacks.append(lambda ev: results.append(ev.value))
             yield env.timeout(1.0)
 
     env.process(driver(env))
     env.run()
+    outcomes = env.tracer.events(kinds=("msg_recv", "msg_drop"))
     return {
-        "results": results,
-        "dropped": fabric.dropped,
+        "results": [event.kind == "msg_recv" for event in outcomes],
+        "dropped": fabric.counters.dropped_messages,
         "counters": fabric.counters.to_dict(),
         "trace_sha256": _trace_sha256(env.tracer),
     }

@@ -89,30 +89,44 @@ class TestStats:
             pearson_r([1, 2], [1])
 
 
+class _Node:
+    def __init__(self, node_id):
+        self.node_id = node_id
+
+
 def _msg(kind, size=1.0, src="a", dst="b"):
-    return Message(kind, src, dst, size)
+    return Message(kind, _Node(src), _Node(dst), size)
+
+
+def _record(ledger, message, distance_km):
+    """Record *message* the way the fabric does: with its link key."""
+    link_key = "%s->%s" % (message.src.node_id, message.dst.node_id)
+    ledger.record(message, distance_km, link_key)
 
 
 class TestTrafficLedger:
     def test_record_and_totals(self):
         ledger = TrafficLedger()
-        ledger.record(_msg(MessageKind.PUSH_UPDATE, size=2.0), distance_km=100.0)
-        ledger.record(_msg(MessageKind.POLL), distance_km=50.0)
+        _record(ledger, _msg(MessageKind.PUSH_UPDATE, size=2.0), distance_km=100.0)
+        _record(ledger, _msg(MessageKind.POLL), distance_km=50.0)
         totals = ledger.totals()
         assert totals.count == 2
         assert totals.km_kb == pytest.approx(250.0)
         assert totals.km == pytest.approx(150.0)
+        assert ledger.messages == 2
+        assert ledger.kb == pytest.approx(3.0)
+        assert ledger.link_bytes_kb() == {"a->b": 3.0}
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
-            TrafficLedger().record(_msg(MessageKind.POLL), distance_km=-1.0)
+            _record(TrafficLedger(), _msg(MessageKind.POLL), distance_km=-1.0)
 
     def test_update_vs_light_split(self):
         ledger = TrafficLedger()
-        ledger.record(_msg(MessageKind.PUSH_UPDATE), 10.0)
-        ledger.record(_msg(MessageKind.POLL_RESPONSE), 10.0)
-        ledger.record(_msg(MessageKind.POLL), 10.0)
-        ledger.record(_msg(MessageKind.INVALIDATE), 10.0)
+        _record(ledger, _msg(MessageKind.PUSH_UPDATE), 10.0)
+        _record(ledger, _msg(MessageKind.POLL_RESPONSE), 10.0)
+        _record(ledger, _msg(MessageKind.POLL), 10.0)
+        _record(ledger, _msg(MessageKind.INVALIDATE), 10.0)
         assert ledger.update_message_count() == 2
         assert ledger.light_message_count() == 2
         assert ledger.update_load_km() == pytest.approx(20.0)
@@ -120,38 +134,37 @@ class TestTrafficLedger:
 
     def test_response_metric_includes_not_modified(self):
         ledger = TrafficLedger()
-        ledger.record(_msg(MessageKind.POLL_RESPONSE), 1.0)
-        ledger.record(_msg(MessageKind.POLL_NOT_MODIFIED), 1.0)
-        ledger.record(_msg(MessageKind.POLL), 1.0)
+        _record(ledger, _msg(MessageKind.POLL_RESPONSE), 1.0)
+        _record(ledger, _msg(MessageKind.POLL_NOT_MODIFIED), 1.0)
+        _record(ledger, _msg(MessageKind.POLL), 1.0)
         assert ledger.response_message_count() == 2
         assert ledger.response_load_km() == pytest.approx(2.0)
         assert ledger.request_load_km() == pytest.approx(1.0)
 
     def test_per_sender_accounting(self):
         ledger = TrafficLedger()
-
-        class Node:
-            def __init__(self, node_id):
-                self.node_id = node_id
-
-        provider = Node("provider")
-        ledger.record(Message(MessageKind.PUSH_UPDATE, provider, None, 1.0), 5.0)
-        ledger.record(Message(MessageKind.POLL_NOT_MODIFIED, provider, None, 1.0), 5.0)
-        ledger.record(Message(MessageKind.POLL, Node("server-1"), None, 1.0), 5.0)
+        # The provider's traffic is spread over two links; both count.
+        _record(ledger, _msg(MessageKind.PUSH_UPDATE, src="provider", dst="s1"), 5.0)
+        _record(
+            ledger, _msg(MessageKind.POLL_NOT_MODIFIED, src="provider", dst="s2"), 5.0
+        )
+        _record(ledger, _msg(MessageKind.CONTENT_RESPONSE, src="provider", dst="s2"), 5.0)
+        _record(ledger, _msg(MessageKind.POLL, src="server-1", dst="provider"), 5.0)
         assert ledger.updates_sent_by("provider") == 1
         assert ledger.responses_sent_by("provider") == 2
         assert ledger.messages_sent_by("provider") == 2
+        assert ledger.messages_sent_by("server-1") == 1
         assert ledger.updates_sent_by("nobody") == 0
 
     def test_content_traffic_not_in_consistency_cost(self):
         ledger = TrafficLedger()
-        ledger.record(_msg(MessageKind.CONTENT_RESPONSE, size=100.0), 1000.0)
-        ledger.record(_msg(MessageKind.POLL), 10.0)
+        _record(ledger, _msg(MessageKind.CONTENT_RESPONSE, size=100.0), 1000.0)
+        _record(ledger, _msg(MessageKind.POLL), 10.0)
         assert ledger.consistency_cost_km_kb() == pytest.approx(10.0)
 
     def test_snapshot_roundtrip_keys(self):
         ledger = TrafficLedger()
-        ledger.record(_msg(MessageKind.POLL), 1.0)
+        _record(ledger, _msg(MessageKind.POLL), 1.0)
         snapshot = ledger.snapshot()
         assert snapshot["poll"]["count"] == 1
 

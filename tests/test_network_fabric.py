@@ -83,18 +83,14 @@ class TestFabric:
         provider, servers = make_nodes(env, streams)
         fabric = NetworkFabric(env, streams=streams)
         message = Message(MessageKind.PUSH_UPDATE, provider, servers[0], 2.0, version=1)
-        results = []
         received = []
-        servers[0].consumer = received.append
-
-        def sender(env):
-            delivered = yield fabric.send(message)
-            results.append(delivered)
-
-        env.process(sender(env))
+        servers[0].consumer = lambda m: received.append((env.now, m.version))
+        assert fabric.send(message) is None
         env.run()
-        assert results == [True]
-        assert [m.version for m in received] == [1]
+        assert [version for _, version in received] == [1]
+        assert received[0][0] > 0.0
+        assert fabric.counters.messages_delivered == 1
+        assert fabric.counters.dropped_messages == 0
         totals = fabric.ledger.kind_totals(MessageKind.PUSH_UPDATE)
         assert totals.count == 1
         assert totals.kb == pytest.approx(2.0)
@@ -119,20 +115,14 @@ class TestFabric:
         provider, servers = make_nodes(env, streams)
         fabric = NetworkFabric(env, streams=streams)
         servers[0].is_up = False
-        outcome = []
         received = []
         servers[0].consumer = received.append
-
-        def sender(env):
-            delivered = yield fabric.send(
-                Message(MessageKind.POLL, provider, servers[0], 1.0)
-            )
-            outcome.append(delivered)
-
-        env.process(sender(env))
+        fabric.send(Message(MessageKind.POLL, provider, servers[0], 1.0))
         env.run()
-        assert outcome == [False]
-        assert fabric.dropped == 1
+        counters = fabric.counters
+        assert counters.dropped_receiver_down == 1
+        assert counters.dropped_messages == 1
+        assert counters.messages_delivered == 0
         assert received == []
 
     def test_down_sender_drops_without_traffic(self):
@@ -141,16 +131,17 @@ class TestFabric:
         provider, servers = make_nodes(env, streams)
         fabric = NetworkFabric(env, streams=streams)
         provider.is_up = False
-
-        def sender(env):
-            delivered = yield fabric.send(
-                Message(MessageKind.POLL, provider, servers[0], 1.0)
-            )
-            assert delivered is False
-
-        env.process(sender(env))
+        received = []
+        servers[0].consumer = received.append
+        fabric.send(Message(MessageKind.POLL, provider, servers[0], 1.0))
         env.run()
+        counters = fabric.counters
+        assert counters.dropped_sender_down == 1
+        assert counters.messages_delivered == 0
+        assert received == []
         assert fabric.ledger.totals().count == 0
+        # Settled inside send(): nothing went on the event heap.
+        assert env.events_processed == 0
 
     def test_output_port_serialises_transmissions(self):
         env = Environment()
@@ -226,9 +217,8 @@ class TestTransferPorts:
             fabric.send(Message(MessageKind.POLL, server, topology.provider, 1.0))
         env.run()
         # 4 messages, uncontended: transmit hop + deliver hop = 2 events
-        # each (the done event completes lazily because nobody registered
-        # a callback on it, the transfer starts synchronously inside
-        # send(), and a consumer-less node discards the delivery).
+        # each (transport is one-way, the transfer starts synchronously
+        # inside send(), and a consumer-less node discards the delivery).
         assert fabric.counters.messages_delivered == 4
         assert env.events_processed == 8
         for server in topology.servers:

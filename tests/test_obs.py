@@ -369,6 +369,27 @@ class TestTracer:
                 assert metrics.message_counts == {
                     "update": n_update, "light": n_light,
                 }
+                # Per-sender counts and per-link KB come from the same
+                # one record per message.
+                provider_sends = [
+                    e.detail["msg"] for e in sends if e.detail["src"] == "provider"
+                ]
+                assert metrics.provider_update_messages == sum(
+                    1 for kind in provider_sends if kind in update_values
+                )
+                assert metrics.provider_response_messages == sum(
+                    1 for kind in provider_sends
+                    if kind in update_values or kind == "poll_not_modified"
+                )
+                assert metrics.provider_messages == sum(
+                    1 for kind in provider_sends
+                    if kind in update_values or kind in light_values
+                )
+                link_kb = {}
+                for e in sends:
+                    key = "%s->%s" % (e.detail["src"], e.detail["dst"])
+                    link_kb[key] = link_kb.get(key, 0.0) + e.detail["kb"]
+                assert metrics.link_bytes_kb == link_kb
 
     def test_system_deployment_accepts_tracer(self):
         tracer = RecordingTracer()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment, Interrupt, Process
 
 
 class TestProcess:
@@ -95,6 +95,98 @@ class TestProcess:
 
         process = env.process(proc(env))
         assert env.run(until=process) == (5, "early")
+
+
+class TestAdoptedProcess:
+    """A generator already run to its first ``yield`` becomes a process
+    waiting on the event it yielded."""
+
+    @staticmethod
+    def _started(generator):
+        return generator, next(generator)
+
+    def test_resumes_with_the_first_events_value(self):
+        env = Environment()
+        log = []
+
+        def task(env):
+            log.append(("start", env.now))
+            value = yield env.timeout(3, "x")
+            log.append((value, env.now))
+            yield env.timeout(1)
+            return "done"
+
+        generator, first = self._started(task(env))
+        assert log == [("start", 0)]
+        process = Process(env, generator, first)
+        assert env.run(until=process) == "done"
+        assert log == [("start", 0), ("x", 3)]
+        assert env.now == 4
+
+    def test_costs_what_a_fresh_process_costs(self):
+        def task(env):
+            yield env.timeout(2)
+            yield env.timeout(1)
+
+        fresh = Environment()
+        fresh.process(task(fresh))
+        fresh.run()
+        adopted = Environment()
+        Process(adopted, *self._started(task(adopted)))
+        adopted.run()
+        assert adopted.events_processed == fresh.events_processed
+
+    def test_already_processed_first_event_resumes_at_start(self):
+        env = Environment()
+        done = env.event()
+        done.succeed("ready")
+        env.run()
+        seen = []
+
+        def task():
+            seen.append((yield done))
+
+        Process(env, *self._started(task()))
+        env.run()
+        assert seen == ["ready"]
+
+    def test_failed_first_event_is_thrown_into_the_generator(self):
+        env = Environment()
+        log = []
+
+        def task(env):
+            failing = env.event()
+            failing.fail(ValueError("boom"))
+            try:
+                yield failing
+            except ValueError as exc:
+                log.append(str(exc))
+            finally:
+                log.append("finally")
+
+        Process(env, *self._started(task(env)))
+        env.run()
+        assert log == ["boom", "finally"]
+
+    def test_interrupt_detaches_from_the_first_event(self):
+        """The start event is queued ahead of any interrupt, so the
+        interrupt finds the process hooked on its first event."""
+        env = Environment()
+        log = []
+
+        def task(env):
+            try:
+                yield env.timeout(5)
+                log.append("woke")
+            except Interrupt as interrupt:
+                log.append((interrupt.cause, env.now))
+                yield env.timeout(10)
+                log.append(("after", env.now))
+
+        process = Process(env, *self._started(task(env)))
+        process.interrupt("stop")
+        env.run()
+        assert log == [("stop", 0), ("after", 10)]
 
 
 class TestInterrupt:
